@@ -1,65 +1,73 @@
-//! Criterion bench: the fluid-fabric kernels — max-min progressive filling
-//! and Varys SEBF allocation — at realistic flow counts, plus end-to-end
-//! fabric drain throughput.
+//! Criterion bench: the from-scratch rate solves of both network
+//! policies — per-component max-min and Varys SEBF — at realistic flow
+//! counts, plus end-to-end fabric drain throughput.
 
-use corral_model::Bandwidth;
 use corral_model::{Bytes, ClusterConfig, MachineId};
-use corral_simnet::allocator::{FlowView, RateAllocator};
-use corral_simnet::{CoflowId, Topology};
-use corral_simnet::{Fabric, FairShare, FlowKind, FlowSpec, FlowTag, VarysSebf};
+use corral_simnet::{AllocScratch, CoflowId, FlowTable, LinkId, RatePolicy, Topology};
+use corral_simnet::{Fabric, FlowKind, FlowSpec, FlowTag};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-/// Builds a deterministic set of `n` flow views on the testbed topology.
-fn flow_set(
-    topo: &Topology,
-    n: usize,
-) -> (
-    Vec<Vec<corral_simnet::LinkId>>,
-    Vec<Bytes>,
-    Vec<Option<CoflowId>>,
-) {
-    let m = topo.config().total_machines();
-    let mut paths = Vec::with_capacity(n);
-    let mut sizes = Vec::with_capacity(n);
-    let mut coflows = Vec::with_capacity(n);
-    for i in 0..n {
-        let src = MachineId(((i * 37) % m) as u32);
-        let dst = MachineId(((i * 101 + 13) % m) as u32);
-        if src == dst {
-            continue;
+/// A deterministic CSR flow table of up to `n` flows on the testbed
+/// topology (machine-local pairs skipped).
+struct FlowSet {
+    flow_off: Vec<u32>,
+    flow_links: Vec<LinkId>,
+    remaining: Vec<f64>,
+    coflow: Vec<Option<CoflowId>>,
+}
+
+impl FlowSet {
+    fn new(topo: &Topology, n: usize) -> Self {
+        let m = topo.config().total_machines();
+        let mut set = FlowSet {
+            flow_off: vec![0],
+            flow_links: Vec::new(),
+            remaining: Vec::new(),
+            coflow: Vec::new(),
+        };
+        for i in 0..n {
+            let src = MachineId(((i * 37) % m) as u32);
+            let dst = MachineId(((i * 101 + 13) % m) as u32);
+            if src == dst {
+                continue;
+            }
+            set.flow_links
+                .extend_from_slice(topo.path(src, dst).as_slice());
+            set.flow_off.push(set.flow_links.len() as u32);
+            set.remaining.push(Bytes::mb(64.0 + (i % 100) as f64).0);
+            set.coflow.push(Some(CoflowId((i % 24) as u64)));
         }
-        paths.push(topo.path(src, dst).as_slice().to_vec());
-        sizes.push(Bytes::mb(64.0 + (i % 100) as f64));
-        coflows.push(Some(CoflowId((i % 24) as u64)));
+        set
     }
-    (paths, sizes, coflows)
+
+    fn table(&self) -> FlowTable<'_> {
+        FlowTable {
+            flow_off: &self.flow_off,
+            flow_links: &self.flow_links,
+            remaining: &self.remaining,
+            coflow: &self.coflow,
+        }
+    }
 }
 
 fn bench_allocators(c: &mut Criterion) {
     let topo = Topology::new(ClusterConfig::testbed_210());
     let mut group = c.benchmark_group("rate_allocation");
     for &n in &[500usize, 2000] {
-        let (paths, sizes, coflows) = flow_set(&topo, n);
-        let views: Vec<FlowView<'_>> = paths
-            .iter()
-            .zip(&sizes)
-            .zip(&coflows)
-            .map(|((p, &s), &cf)| FlowView {
-                path: p,
-                remaining: s,
-                coflow: cf,
-            })
-            .collect();
-        let mut rates = vec![Bandwidth::ZERO; views.len()];
-
-        group.bench_with_input(BenchmarkId::new("maxmin", n), &views, |b, views| {
-            let mut alloc = FairShare;
-            b.iter(|| alloc.allocate(topo.links(), views, &mut rates));
-        });
-        group.bench_with_input(BenchmarkId::new("varys_sebf", n), &views, |b, views| {
-            let mut alloc = VarysSebf;
-            b.iter(|| alloc.allocate(topo.links(), views, &mut rates));
-        });
+        let set = FlowSet::new(&topo, n);
+        let mut rates = vec![0.0; set.remaining.len()];
+        let mut scratch = AllocScratch::new();
+        for (name, policy) in [
+            ("maxmin", RatePolicy::FairShare),
+            ("varys_sebf", RatePolicy::Varys),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, n), &set, |b, set| {
+                let table = set.table();
+                b.iter(|| {
+                    policy.allocate_from_scratch(topo.links(), &table, &mut rates, &mut scratch)
+                });
+            });
+        }
     }
     group.finish();
 }
@@ -67,7 +75,7 @@ fn bench_allocators(c: &mut Criterion) {
 fn bench_fabric_drain(c: &mut Criterion) {
     c.bench_function("fabric_drain_1000_flows", |b| {
         b.iter(|| {
-            let mut fabric = Fabric::new(ClusterConfig::testbed_210(), Box::new(FairShare));
+            let mut fabric = Fabric::new(ClusterConfig::testbed_210(), RatePolicy::FairShare);
             let m = fabric.topology().config().total_machines();
             for i in 0..1000u32 {
                 fabric.start_flow(FlowSpec {

@@ -1,37 +1,27 @@
 //! Fabric hot-path microbenchmark: times the event loop of the flow-level
-//! simulator under synthetic arrival/completion churn at several cluster
-//! scales, comparing the optimized CSR max-min path
-//! ([`corral_simnet::FairShare`]) against the pre-optimization reference
-//! ([`corral_simnet::ReferenceFairShare`]), plus one interleaved Varys
-//! cell pair — the verbatim eager per-event SEBF solve
-//! ([`Fabric::new_eager`]) against the coflow-incremental mode — and one
-//! real fig6-shaped scheduling cell (Corral on the W1 smoke workload,
-//! `Tcp` vs `TcpReference`). Writes `BENCH_fabric.json` in the working
-//! directory (each synthetic cell carries a `policy` field).
+//! simulator under synthetic arrival/completion churn — fair sharing
+//! ([`RatePolicy::FairShare`]) at three cluster scales and Varys
+//! ([`RatePolicy::Varys`]) at the small and medium ones. Writes
+//! `BENCH_fabric.json` in the working directory (each cell carries a
+//! `policy` field).
 //!
 //! Not part of `repro all` (it times the simulator, not a paper artifact);
-//! CI runs `repro fabricbench` as a perf-smoke step. Because both
-//! allocators are bit-identical by construction, the *recompute counts* of
-//! every cell are deterministic; they are embedded below as golden values
-//! and any drift fails the run — a cheap end-to-end tripwire for
-//! accidental changes to event ordering or rate arithmetic. Wall-clock
-//! numbers are recorded but never asserted (CI timing is noisy).
+//! CI runs `repro fabricbench` as a perf-smoke step. The *recompute
+//! counts* of every cell are deterministic; they are embedded below as
+//! golden values and any drift fails the run — a cheap end-to-end
+//! tripwire for accidental changes to event ordering or rate arithmetic.
+//! The small cells are also checked by `cargo test` with the shadow
+//! oracle armed (`tests/fabric_golden.rs`). Wall-clock numbers are
+//! recorded but never asserted (CI timing is noisy).
 //!
 //! Regenerate the golden table after an *intentional* event-order change
 //! by running with `CORRAL_FABRICBENCH_BLESS=1` and pasting the printed
 //! constants.
 
-use crate::runner::{run_variant, RunConfig, Variant};
 use crate::table;
-use corral_cluster::config::NetPolicy;
-use corral_core::Objective;
-use corral_model::{Bytes, ClusterConfig, MachineId, SimTime};
-use corral_simnet::{
-    CoflowId, Fabric, FairShare, FlowKind, FlowSpec, FlowTag, RateAllocator, ReferenceFairShare,
-    VarysSebf,
-};
+use corral_model::{Bytes, ClusterConfig, MachineId};
+use corral_simnet::{CoflowId, Fabric, FlowKind, FlowSpec, FlowTag, RatePolicy};
 use corral_trace::CounterSet;
-use corral_workloads::{assign_uniform_arrivals, w1};
 use std::time::Instant;
 
 /// One synthetic churn scale.
@@ -46,12 +36,8 @@ struct ScaleSpec {
     seed: u64,
 }
 
-/// Small / medium / large synthetic fabrics. The large scale (20 racks ×
-/// 16 machines, 640 concurrent flows) was the original acceptance cell
-/// (CSR ≥ 2× over reference). Since the incremental fabric landed, both
-/// allocators share the component decomposition and only the per-component
-/// kernel differs, so the gap here is structurally smaller; the scale-out
-/// story lives in fig14-xl (`BENCH_scale.json`) instead.
+/// Small / medium / large synthetic fabrics. The scale-out story lives in
+/// fig14-xl (`BENCH_scale.json`).
 const SCALES: [ScaleSpec; 3] = [
     ScaleSpec {
         name: "small",
@@ -79,18 +65,13 @@ const SCALES: [ScaleSpec; 3] = [
     },
 ];
 
-/// Golden recompute counts per synthetic scale (identical for both
-/// allocators — that identity is itself asserted). Drift here means the
-/// fabric's event ordering or rate arithmetic changed; bless deliberately
-/// (see module docs) or find the regression.
+/// Golden recompute counts of the fair-sharing cells per synthetic scale.
+/// Drift here means the fabric's event ordering or rate arithmetic
+/// changed; bless deliberately (see module docs) or find the regression.
 const GOLDEN_RECOMPUTES: [(&str, u64); 3] = [("small", 7996), ("medium", 11954), ("large", 23940)];
 
-/// Golden recompute counts of the *coflow-incremental* Varys pass (the
-/// eager pass recomputes per event batch by construction and is the
-/// wall-clock baseline, not a counter oracle). `varys-small` backs the
-/// perfreport tripwire, `varys-medium` the interleaved bench cell.
-const GOLDEN_VARYS_RECOMPUTES: [(&str, u64); 2] =
-    [("varys-small", 7913), ("varys-medium", 11904)];
+/// Golden recompute counts of the Varys cells (small and medium scale).
+const GOLDEN_VARYS_RECOMPUTES: [(&str, u64); 2] = [("small", 7913), ("medium", 11904)];
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -130,7 +111,7 @@ fn spawn_flow(
     });
 }
 
-/// Result of one (scale, allocator) churn cell.
+/// Result of one (scale, policy) churn cell.
 struct CellResult {
     wall_s: f64,
     events: u64,
@@ -151,24 +132,14 @@ impl CellResult {
     }
 }
 
-/// Wall-clock repetitions per cell. Reference and CSR passes are
-/// interleaved (one pair per repeat) so both see the same host
-/// conditions; the reported speedup is the *median of per-pair ratios*,
-/// which is robust to load bursts that would skew a ratio of two
-/// independently-taken minima. Per-allocator walls report the minimum.
+/// Wall-clock repetitions per cell; the reported wall is the minimum.
 const REPEATS: usize = 7;
 
 /// Runs one churn pass: fill the fabric to `concurrency` flows, then
 /// replace every completed flow with a fresh one until `completions`
-/// events have been processed, timing the whole event loop.
-fn run_once(sc: &ScaleSpec, allocator: Box<dyn RateAllocator>) -> CellResult {
-    run_once_with(sc, allocator, false)
-}
-
-/// [`run_once`] with an engine selector: `eager` forces the verbatim
-/// per-event full-recompute fabric ([`Fabric::new_eager`]) — the
-/// baseline side of the Varys pair.
-fn run_once_with(sc: &ScaleSpec, allocator: Box<dyn RateAllocator>, eager: bool) -> CellResult {
+/// events have been processed, timing the whole event loop. `oracle` arms
+/// the fabric's from-scratch shadow check on every recompute.
+fn run_once(sc: &ScaleSpec, policy: RatePolicy, oracle: bool) -> CellResult {
     let cfg = ClusterConfig {
         racks: sc.racks,
         machines_per_rack: sc.machines_per_rack,
@@ -176,12 +147,8 @@ fn run_once_with(sc: &ScaleSpec, allocator: Box<dyn RateAllocator>, eager: bool)
     };
     let nm = cfg.total_machines() as u64;
     let mpr = cfg.machines_per_rack as u64;
-    let mut fab = if eager {
-        Fabric::new_eager(cfg, allocator)
-    } else {
-        Fabric::new(cfg, allocator)
-    };
-    fab.set_full_oracle(false);
+    let mut fab = Fabric::new(cfg, policy);
+    fab.set_full_oracle(oracle);
     let mut rng = sc.seed;
     let mut seq = 0u64;
     for _ in 0..sc.concurrency {
@@ -212,74 +179,14 @@ fn run_once_with(sc: &ScaleSpec, allocator: Box<dyn RateAllocator>, eager: bool)
     }
 }
 
-/// Runs one scale [`REPEATS`] times as back-to-back (reference, CSR)
-/// pairs with a fresh fabric each pass. Every pass is deterministic, so
-/// the event/recompute counters must agree across repeats *and* across
-/// allocators (asserted — the runtime form of the bit-identity claim).
-/// Returns (reference best, CSR best, median paired speedup).
-fn run_pair(sc: &ScaleSpec) -> (CellResult, CellResult, f64) {
-    let mut best_ref: Option<CellResult> = None;
-    let mut best_csr: Option<CellResult> = None;
-    let mut ratios = Vec::with_capacity(REPEATS);
+/// Runs one cell [`REPEATS`] times with a fresh fabric each pass. Every
+/// pass is deterministic, so the event/recompute counters must agree
+/// across repeats (asserted). Returns the fastest pass.
+fn run_cell(sc: &ScaleSpec, policy: RatePolicy) -> CellResult {
+    let mut best: Option<CellResult> = None;
     for _ in 0..REPEATS {
-        let r = run_once(sc, Box::new(ReferenceFairShare));
-        let c = run_once(sc, Box::new(FairShare));
-        assert_eq!(
-            r.events, c.events,
-            "{}: allocators disagree on completion count",
-            sc.name
-        );
-        assert_eq!(
-            r.recomputes, c.recomputes,
-            "{}: allocators disagree on recompute count (bit-identity broken?)",
-            sc.name
-        );
-        if let Some(b) = &best_ref {
-            assert_eq!(b.events, r.events, "{}: non-deterministic repeat", sc.name);
-            assert_eq!(
-                b.recomputes, r.recomputes,
-                "{}: non-deterministic repeat",
-                sc.name
-            );
-        }
-        ratios.push(r.wall_s / c.wall_s.max(1e-9));
-        if best_ref.as_ref().is_none_or(|b| r.wall_s < b.wall_s) {
-            best_ref = Some(r);
-        }
-        if best_csr.as_ref().is_none_or(|b| c.wall_s < b.wall_s) {
-            best_csr = Some(c);
-        }
-    }
-    ratios.sort_by(f64::total_cmp);
-    let speedup = ratios[ratios.len() / 2];
-    (best_ref.unwrap(), best_csr.unwrap(), speedup)
-}
-
-/// Runs one scale as interleaved (eager, coflow-incremental) Varys
-/// pairs — same churn script, same coflow tagging, two engines. Repeat
-/// determinism is asserted per engine; the *cross*-engine counters are
-/// not compared (the eager path schedules on live remaining bytes, the
-/// incremental path on frozen-at-admission bytes — same SEBF family,
-/// different clairvoyance; bit-identity of the incremental path is
-/// asserted against the from-scratch oracle in fig14-xl and the simnet
-/// property tests). Returns (eager best, incremental best, median
-/// paired speedup).
-fn run_varys_pair(sc: &ScaleSpec) -> (CellResult, CellResult, f64) {
-    let mut best_eager: Option<CellResult> = None;
-    let mut best_inc: Option<CellResult> = None;
-    let mut ratios = Vec::with_capacity(REPEATS);
-    for _ in 0..REPEATS {
-        let e = run_once_with(sc, Box::new(VarysSebf), true);
-        let c = run_once_with(sc, Box::new(VarysSebf), false);
-        if let Some(b) = &best_eager {
-            assert_eq!(b.events, e.events, "{}: non-deterministic repeat", sc.name);
-            assert_eq!(
-                b.recomputes, e.recomputes,
-                "{}: non-deterministic repeat",
-                sc.name
-            );
-        }
-        if let Some(b) = &best_inc {
+        let c = run_once(sc, policy, false);
+        if let Some(b) = &best {
             assert_eq!(b.events, c.events, "{}: non-deterministic repeat", sc.name);
             assert_eq!(
                 b.recomputes, c.recomputes,
@@ -287,70 +194,37 @@ fn run_varys_pair(sc: &ScaleSpec) -> (CellResult, CellResult, f64) {
                 sc.name
             );
         }
-        ratios.push(e.wall_s / c.wall_s.max(1e-9));
-        if best_eager.as_ref().is_none_or(|b| e.wall_s < b.wall_s) {
-            best_eager = Some(e);
-        }
-        if best_inc.as_ref().is_none_or(|b| c.wall_s < b.wall_s) {
-            best_inc = Some(c);
+        if best.as_ref().is_none_or(|b| c.wall_s < b.wall_s) {
+            best = Some(c);
         }
     }
-    ratios.sort_by(f64::total_cmp);
-    let speedup = ratios[ratios.len() / 2];
-    (best_eager.unwrap(), best_inc.unwrap(), speedup)
+    best.expect("REPEATS > 0")
 }
 
-/// One small-scale churn pass on the CSR allocator, for `repro
-/// perfreport`: populates the fabric probe spans and counters with live
-/// data. Returns `(recomputes, golden_recomputes)` so the report can
-/// re-check the small-cell tripwire without re-running the full bench.
-pub(crate) fn probe_cell_small() -> (u64, u64) {
-    let c = run_once(&SCALES[0], Box::new(FairShare));
-    (c.recomputes, GOLDEN_RECOMPUTES[0].1)
-}
-
-/// The Varys companion to [`probe_cell_small`]: one eager and one
-/// coflow-incremental churn pass at the small scale, so the probe
-/// report sees both sides of the split recompute counters
-/// (`fabric.recompute_full_eager` from the eager pass,
-/// `fabric.recompute_full_boundary` / `fabric.recompute_incremental` /
-/// `fabric.varys_scratch_elems` from the incremental one). Returns the
-/// incremental pass's `(recomputes, golden_recomputes)` tripwire pair.
-pub(crate) fn probe_cell_varys() -> (u64, u64) {
-    let _ = run_once_with(&SCALES[0], Box::new(VarysSebf), true);
-    let c = run_once_with(&SCALES[0], Box::new(VarysSebf), false);
-    (c.recomputes, GOLDEN_VARYS_RECOMPUTES[0].1)
-}
-
-/// The fig6-shaped real cell: Corral on the W1 smoke workload (same jobset
-/// family sweepbench uses), timed under `Tcp` and `TcpReference`. Returns
-/// (tcp_s, reference_s, summaries_identical).
-fn run_fig6_cell() -> (f64, f64, bool) {
-    let mut jobs = w1::generate(
-        &w1::W1Params {
-            jobs: 40,
-            bytes_per_task: 512e6,
-            ..w1::W1Params::with_seed(0xA001)
-        },
-        crate::experiments::bench_scale(),
-    );
-    assign_uniform_arrivals(&mut jobs, SimTime::minutes(20.0), 0x1);
-    let time_with = |net: NetPolicy| {
-        let mut rc = RunConfig::testbed(Objective::Makespan);
-        rc.params.net = net;
-        let t0 = Instant::now();
-        let r = run_variant(Variant::Corral, &jobs, &rc);
-        (t0.elapsed().as_secs_f64(), r.summary.to_string())
+/// The golden recompute count of `policy` at scale `name`, if blessed.
+fn golden(policy: RatePolicy, name: &str) -> Option<u64> {
+    let table: &[(&str, u64)] = match policy {
+        RatePolicy::FairShare => &GOLDEN_RECOMPUTES,
+        RatePolicy::Varys => &GOLDEN_VARYS_RECOMPUTES,
     };
-    let (tcp_s, tcp_summary) = time_with(NetPolicy::Tcp);
-    let (ref_s, ref_summary) = time_with(NetPolicy::TcpReference);
-    (tcp_s, ref_s, tcp_summary == ref_summary)
+    table.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
 }
 
-/// Runs the synthetic scales under both allocators plus the fig6-shaped
-/// cell, checks golden recompute counts, and writes `BENCH_fabric.json`.
+/// One small-scale churn pass under `policy`, returning `(recomputes,
+/// golden_recomputes)`. `oracle` arms the from-scratch shadow check on
+/// every recompute; the tier-1 golden test runs it armed, and `repro
+/// perfreport` runs it plain to populate the fabric probe spans and
+/// counters with live data.
+pub fn small_cell(policy: RatePolicy, oracle: bool) -> (u64, u64) {
+    let c = run_once(&SCALES[0], policy, oracle);
+    let golden = golden(policy, SCALES[0].name).expect("small cell is blessed");
+    (c.recomputes, golden)
+}
+
+/// Runs every (scale, policy) cell, checks golden recompute counts, and
+/// writes `BENCH_fabric.json`.
 pub fn main() {
-    table::section("fabricbench: fabric event-loop, reference vs CSR fast path");
+    table::section("fabricbench: fabric event loop under flow churn");
     let bless = std::env::var_os("CORRAL_FABRICBENCH_BLESS").is_some();
     let counters = CounterSet::new(&[
         "fabric.completions",
@@ -360,129 +234,55 @@ pub fn main() {
     ]);
 
     table::row(&[
-        "scale", "alloc", "events", "wall", "events/s", "recomp", "rounds", "grows", "speedup",
+        "scale", "policy", "events", "wall", "events/s", "recomp", "rounds", "grows",
     ]);
+    let cells = SCALES
+        .iter()
+        .map(|sc| (sc, RatePolicy::FairShare))
+        .chain(SCALES[..2].iter().map(|sc| (sc, RatePolicy::Varys)));
     let mut cell_json = Vec::new();
     let mut drift = Vec::new();
-    for sc in &SCALES {
-        let (reference, optimized, speedup) = run_pair(sc);
-        counters.add("fabric.completions", optimized.events);
-        counters.add("fabric.recomputes", optimized.recomputes);
-        counters.add("fabric.maxmin_rounds", optimized.maxmin_rounds);
-        counters.add("fabric.scratch_grows", optimized.scratch_grows);
-        for (label, c) in [("reference", &reference), ("csr", &optimized)] {
-            table::row(&[
-                sc.name.to_string(),
-                label.to_string(),
-                c.events.to_string(),
-                table::secs(c.wall_s),
-                format!("{:.0}", c.events_per_sec()),
-                c.recomputes.to_string(),
-                c.maxmin_rounds.to_string(),
-                c.scratch_grows.to_string(),
-                if label == "csr" {
-                    format!("{speedup:.2}x")
-                } else {
-                    "-".into()
-                },
-            ]);
-        }
-        let golden = GOLDEN_RECOMPUTES
-            .iter()
-            .find(|(n, _)| *n == sc.name)
-            .map(|&(_, v)| v)
-            .unwrap();
-        if optimized.recomputes != golden {
+    for (sc, policy) in cells {
+        let c = run_cell(sc, policy);
+        let label = match policy {
+            RatePolicy::FairShare => "fair",
+            RatePolicy::Varys => "varys",
+        };
+        counters.add("fabric.completions", c.events);
+        counters.add("fabric.recomputes", c.recomputes);
+        counters.add("fabric.maxmin_rounds", c.maxmin_rounds);
+        counters.add("fabric.scratch_grows", c.scratch_grows);
+        table::row(&[
+            sc.name.to_string(),
+            label.to_string(),
+            c.events.to_string(),
+            table::secs(c.wall_s),
+            format!("{:.0}", c.events_per_sec()),
+            c.recomputes.to_string(),
+            c.maxmin_rounds.to_string(),
+            c.scratch_grows.to_string(),
+        ]);
+        let golden = golden(policy, sc.name).expect("every cell is blessed");
+        if c.recomputes != golden {
             drift.push(format!(
-                "{}: recomputes {} != golden {}",
-                sc.name, optimized.recomputes, golden
+                "{label}-{}: recomputes {} != golden {golden}",
+                sc.name, c.recomputes
             ));
         }
         cell_json.push(format!(
-            "    {{\"scale\": \"{}\", \"policy\": \"fair\", \"events\": {}, \
-             \"reference_s\": {:.3}, \
-             \"csr_s\": {:.3}, \"speedup\": {:.3}, \"recomputes\": {}, \
+            "    {{\"scale\": \"{}\", \"policy\": \"{label}\", \"events\": {}, \
+             \"wall_s\": {:.3}, \"recomputes\": {}, \
              \"maxmin_rounds\": {}, \"rounds_per_recompute\": {:.3}, \
              \"scratch_grows\": {}}}",
             sc.name,
-            optimized.events,
-            reference.wall_s,
-            optimized.wall_s,
-            speedup,
-            optimized.recomputes,
-            optimized.maxmin_rounds,
-            optimized.rounds_per_recompute(),
-            optimized.scratch_grows,
-        ));
-        if sc.name == "large" && speedup < 2.0 {
-            println!("   warning: large-scale speedup {speedup:.2}x below the 2x target");
-        }
-    }
-
-    // Varys pair: the eager (per-event full SEBF solve) fabric against
-    // the coflow-incremental one, medium scale, same interleaved-pair
-    // protocol as the fair cells.
-    {
-        let sc = &SCALES[1];
-        let (eager, inc, speedup) = run_varys_pair(sc);
-        for (label, c) in [("eager", &eager), ("coflow", &inc)] {
-            table::row(&[
-                "varys-med".to_string(),
-                label.to_string(),
-                c.events.to_string(),
-                table::secs(c.wall_s),
-                format!("{:.0}", c.events_per_sec()),
-                c.recomputes.to_string(),
-                c.maxmin_rounds.to_string(),
-                c.scratch_grows.to_string(),
-                if label == "coflow" {
-                    format!("{speedup:.2}x")
-                } else {
-                    "-".into()
-                },
-            ]);
-        }
-        let golden = GOLDEN_VARYS_RECOMPUTES[1].1;
-        if inc.recomputes != golden {
-            drift.push(format!(
-                "varys-medium: recomputes {} != golden {golden}",
-                inc.recomputes
-            ));
-        }
-        cell_json.push(format!(
-            "    {{\"scale\": \"medium\", \"policy\": \"varys\", \"events\": {}, \
-             \"reference_s\": {:.3}, \
-             \"csr_s\": {:.3}, \"speedup\": {:.3}, \"recomputes\": {}, \
-             \"maxmin_rounds\": {}, \"rounds_per_recompute\": {:.3}, \
-             \"scratch_grows\": {}}}",
-            inc.events,
-            eager.wall_s,
-            inc.wall_s,
-            speedup,
-            inc.recomputes,
-            inc.maxmin_rounds,
-            inc.rounds_per_recompute(),
-            inc.scratch_grows,
+            c.events,
+            c.wall_s,
+            c.recomputes,
+            c.maxmin_rounds,
+            c.rounds_per_recompute(),
+            c.scratch_grows,
         ));
     }
-
-    let (tcp_s, ref_s, identical) = run_fig6_cell();
-    assert!(
-        identical,
-        "fig6-shaped cell: Tcp and TcpReference summaries differ (bit-identity broken)"
-    );
-    let fig6_speedup = ref_s / tcp_s.max(1e-9);
-    table::row(&[
-        "fig6-w1".into(),
-        "engine".into(),
-        "-".into(),
-        table::secs(tcp_s),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        format!("{fig6_speedup:.2}x"),
-    ]);
 
     for (name, v) in counters.snapshot() {
         println!("   {name} = {v}");
@@ -503,10 +303,7 @@ pub fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"fabric_fast_path\",\n  \"cells\": [\n{}\n  ],\n  \
-         \"fig6_cell\": {{\"variant\": \"corral\", \"workload\": \"w1_smoke\", \
-         \"tcp_s\": {tcp_s:.3}, \"tcp_reference_s\": {ref_s:.3}, \
-         \"speedup\": {fig6_speedup:.3}, \"identical\": {identical}}}\n}}\n",
+        "{{\n  \"bench\": \"fabric_fast_path\",\n  \"cells\": [\n{}\n  ]\n}}\n",
         cell_json.join(",\n")
     );
     std::fs::write("BENCH_fabric.json", &json).expect("write BENCH_fabric.json");

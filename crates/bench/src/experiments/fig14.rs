@@ -57,7 +57,6 @@ pub fn run() -> Vec<(String, Vec<f64>)> {
             match net {
                 NetPolicy::Tcp => "tcp",
                 NetPolicy::Varys => "varys",
-                NetPolicy::TcpReference => "tcp-ref",
             }
         );
         out.push((label, r.completion_times()));

@@ -13,28 +13,21 @@
 //! recompute exploits; an all-to-all ring would collapse into one
 //! component and show nothing.
 //!
-//! Two cell families:
+//! Two cell families, one per network policy:
 //!
-//! * **fair** — the memoryless max-min path. The "full" pass is the same
-//!   run with the shadow oracle armed ([`Fabric::set_full_oracle`]):
-//!   every recompute additionally re-solves the entire alive flow set
-//!   from scratch — exactly what the pre-incremental fabric did per
-//!   event — and asserts rate-bit equality with the incremental table
-//!   while it's at it. Oracle-on and oracle-off passes must agree on
-//!   every deterministic counter *and* on a digest of the completion
-//!   stream (asserted).
-//! * **varys** — the stateful Varys/SEBF path, flows grouped into
-//!   band-local coflows. The "full" pass is the verbatim eager fabric
-//!   ([`Fabric::new_eager`]): the whole SEBF + MADD + backfill solve per
-//!   event batch, untouched pre-incremental code. The "incremental" pass
-//!   is the coflow-local mode (frozen-at-admission SEBF bytes, dirty
-//!   coflow re-rank, per-component backfill). The two engines schedule
-//!   under *different* SEBF byte semantics (live vs frozen remaining),
-//!   so their completion streams are not comparable; correctness is
-//!   instead asserted by one extra untimed pass per cell with the
-//!   from-scratch oracle armed, which must match the timed incremental
-//!   pass on every counter and on the completion digest while asserting
-//!   per-flow `rate.to_bits()` equality on every recompute internally.
+//! * **fair** — the memoryless max-min path ([`RatePolicy::FairShare`]).
+//! * **varys** — the Varys/SEBF path ([`RatePolicy::Varys`]), flows
+//!   grouped into band-local coflows (frozen-at-admission SEBF bytes,
+//!   dirty coflow re-rank, per-component backfill).
+//!
+//! For both, the "full" pass is the same run with the shadow oracle armed
+//! ([`Fabric::set_full_oracle`]): every recompute additionally re-solves
+//! the entire alive flow set from scratch
+//! ([`RatePolicy::allocate_from_scratch`]) — the per-event cost of a
+//! fabric without the incremental path — and asserts per-flow
+//! `rate.to_bits()` equality with the incremental table while it's at it.
+//! Oracle-on and oracle-off passes must agree on every deterministic
+//! counter *and* on a digest of the completion stream (asserted).
 //!
 //! The reported speedup is the median paired wall ratio
 //! (full / incremental). Writes `BENCH_scale.json` in the working
@@ -51,7 +44,7 @@
 
 use crate::table;
 use corral_model::{Bytes, ClusterConfig, MachineId};
-use corral_simnet::{CoflowId, Fabric, FairShare, FlowKind, FlowSpec, FlowTag, VarysSebf};
+use corral_simnet::{CoflowId, Fabric, FlowKind, FlowSpec, FlowTag, RatePolicy};
 use std::time::Instant;
 
 /// Racks per traffic band: flows never leave their band, so each band is
@@ -65,9 +58,10 @@ const COFLOW_WIDTH: u64 = 4;
 /// Network scheduling policy of a cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Policy {
-    /// Memoryless max-min fair sharing ([`FairShare`]).
+    /// Memoryless max-min fair sharing ([`RatePolicy::FairShare`]).
     Fair,
-    /// Varys SEBF + MADD + backfill ([`VarysSebf`]), coflow-tagged flows.
+    /// Varys SEBF + MADD + backfill ([`RatePolicy::Varys`]), coflow-tagged
+    /// flows.
     Varys,
 }
 
@@ -76,6 +70,13 @@ impl Policy {
         match self {
             Policy::Fair => "fair",
             Policy::Varys => "varys",
+        }
+    }
+
+    fn rate_policy(self) -> RatePolicy {
+        match self {
+            Policy::Fair => RatePolicy::FairShare,
+            Policy::Varys => RatePolicy::Varys,
         }
     }
 }
@@ -101,10 +102,13 @@ impl CellSpec {
     }
 }
 
-/// {2k, 10k, 50k} machines × {W1, W2} × {fair, varys}. The 50k cells are
-/// the acceptance cells: each incremental path must beat its full
-/// re-solve by ≥ 5× there. The first four (2k) cells double as the CI
-/// smoke subset, so the coflow-incremental path is smoke-covered too.
+/// {2k, 10k, 50k} machines × {W1, W2} × {fair, varys}. The 50k fair cells
+/// are the acceptance cells: the incremental path must beat its full
+/// re-solve by ≥ 5× there. (The varys baseline is the canonical
+/// from-scratch solve, whose per-component backfill is already cheap, so
+/// its ratio measures only what coflow-local caching saves on top.) The
+/// first four (2k) cells double as the CI smoke subset, so the
+/// coflow-incremental path is smoke-covered too.
 static CELLS: [CellSpec; 12] = [
     CellSpec {
         name: "w1-2k",
@@ -229,10 +233,9 @@ static CELLS: [CellSpec; 12] = [
 ];
 
 /// Golden `(recomputes, maxmin_rounds)` of the timed incremental pass
-/// per cell. For fair cells these are identical between the oracle-on
-/// and oracle-off passes (that identity is itself asserted — the oracle
-/// must not perturb the run); for varys cells the identity is asserted
-/// against the extra oracle-armed pass. Drift against these constants
+/// per cell. These are identical between the oracle-on and oracle-off
+/// passes (that identity is itself asserted — the oracle must not perturb
+/// the run). Drift against these constants
 /// means the fabric's behavior changed. Bless deliberately (module docs)
 /// or find the regression.
 const GOLDEN: [(&str, u64, u64); 12] = [
@@ -324,7 +327,7 @@ struct PassCounts {
     events: u64,
     recomputes: u64,
     recomputes_incremental: u64,
-    recomputes_full_boundary: u64,
+    recomputes_full: u64,
     maxmin_rounds: u64,
     dirty_flows: u64,
     digest: u64,
@@ -336,18 +339,14 @@ struct PassResult {
     links: usize,
 }
 
-/// Which engine/oracle combination a pass runs.
+/// Which side of the timed pair a pass runs.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Pass {
-    /// The timed baseline. Fair: the incremental fabric with the shadow
-    /// from-scratch oracle armed (the pre-incremental per-event cost).
-    /// Varys: the verbatim eager fabric ([`Fabric::new_eager`]).
+    /// The baseline: the from-scratch shadow oracle armed, so every
+    /// recompute also pays a full re-solve.
     Full,
-    /// The timed incremental pass, oracle off.
+    /// The incremental pass, oracle off.
     Incremental,
-    /// Untimed correctness pass (varys only): the incremental fabric
-    /// with the from-scratch oracle armed.
-    Check,
 }
 
 fn fnv1a(h: u64, word: u64) -> u64 {
@@ -366,15 +365,8 @@ fn run_once(c: &CellSpec, sizes: &[f64], pass: Pass) -> PassResult {
         machines_per_rack: c.machines_per_rack,
         ..ClusterConfig::tiny_test()
     };
-    let mut fab = match (c.policy, pass) {
-        (Policy::Fair, _) => Fabric::new(cfg, Box::new(FairShare)),
-        (Policy::Varys, Pass::Full) => Fabric::new_eager(cfg, Box::new(VarysSebf)),
-        (Policy::Varys, _) => Fabric::new(cfg, Box::new(VarysSebf)),
-    };
-    fab.set_full_oracle(match c.policy {
-        Policy::Fair => pass == Pass::Full,
-        Policy::Varys => pass == Pass::Check,
-    });
+    let mut fab = Fabric::new(cfg, c.policy.rate_policy());
+    fab.set_full_oracle(pass == Pass::Full);
     let links = fab.topology().links().len();
     let mut rng = c.seed;
     let mut seq = 0u64;
@@ -409,7 +401,7 @@ fn run_once(c: &CellSpec, sizes: &[f64], pass: Pass) -> PassResult {
             events,
             recomputes: st.recomputes,
             recomputes_incremental: st.recomputes_incremental,
-            recomputes_full_boundary: st.recomputes_full_boundary,
+            recomputes_full: st.recomputes_full,
             maxmin_rounds: st.maxmin_rounds,
             dirty_flows: st.dirty_flows,
             digest,
@@ -434,52 +426,32 @@ struct CellResult {
 }
 
 /// Runs one cell `repeats` times as (full, incremental) pairs, asserting
-/// every deterministic counter identical across repeats. Fair cells
-/// additionally assert the oracle-armed pass identical to the plain one
-/// (counters *and* completion digest); varys cells run one extra untimed
-/// oracle-armed incremental pass and assert the same identity against it
-/// (the eager baseline schedules under live-remaining SEBF, so it is a
-/// wall-clock baseline only).
+/// every deterministic counter identical across repeats and the
+/// oracle-armed pass identical to the plain one (counters *and*
+/// completion digest).
 fn run_cell(c: &CellSpec, sizes: &[f64], repeats: usize) -> CellResult {
     let mut best_full = f64::INFINITY;
     let mut best_inc = f64::INFINITY;
-    let mut full_counts: Option<PassCounts> = None;
-    let mut inc_counts: Option<PassCounts> = None;
+    let mut counts: Option<PassCounts> = None;
     let mut links = 0;
     let mut ratios = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let full = run_once(c, sizes, Pass::Full);
         let inc = run_once(c, sizes, Pass::Incremental);
-        if c.policy == Policy::Fair {
-            assert_eq!(
-                full.counts, inc.counts,
-                "{}: oracle-armed pass diverged from the plain pass — the oracle \
-                 must be observation-only",
-                c.name
-            );
-        }
-        if let Some(prev) = &full_counts {
-            assert_eq!(*prev, full.counts, "{}: non-deterministic repeat", c.name);
-        }
-        if let Some(prev) = &inc_counts {
+        assert_eq!(
+            full.counts, inc.counts,
+            "{}: oracle-armed pass diverged from the plain pass — the oracle \
+             must be observation-only",
+            c.name
+        );
+        if let Some(prev) = &counts {
             assert_eq!(*prev, inc.counts, "{}: non-deterministic repeat", c.name);
         }
-        full_counts = Some(full.counts);
-        inc_counts = Some(inc.counts);
+        counts = Some(inc.counts);
         links = inc.links;
         ratios.push(full.wall_s / inc.wall_s.max(1e-9));
         best_full = best_full.min(full.wall_s);
         best_inc = best_inc.min(inc.wall_s);
-    }
-    let inc_counts = inc_counts.unwrap();
-    if c.policy == Policy::Varys {
-        let check = run_once(c, sizes, Pass::Check);
-        assert_eq!(
-            check.counts, inc_counts,
-            "{}: oracle-armed coflow pass diverged from the plain pass — the \
-             oracle must be observation-only",
-            c.name
-        );
     }
     ratios.sort_by(f64::total_cmp);
     CellResult {
@@ -488,7 +460,7 @@ fn run_cell(c: &CellSpec, sizes: &[f64], repeats: usize) -> CellResult {
         policy: c.policy,
         machines: c.machines(),
         links,
-        counts: inc_counts,
+        counts: counts.expect("repeats > 0"),
         full_s: best_full,
         incremental_s: best_inc,
         speedup: ratios[ratios.len() / 2],
@@ -563,9 +535,8 @@ fn run(cells: &[CellSpec], repeats: usize, smoke: bool) {
                 );
                 assert_eq!(
                     r.counts.recomputes,
-                    r.counts.recomputes_incremental + r.counts.recomputes_full_boundary,
-                    "{}: varys recomputes must split into incremental + boundary-full \
-                     (an Unsupported fallback leaked in)",
+                    r.counts.recomputes_incremental + r.counts.recomputes_full,
+                    "{}: varys recomputes must split into incremental + full",
                     r.name
                 );
             }
@@ -578,7 +549,7 @@ fn run(cells: &[CellSpec], repeats: usize, smoke: bool) {
                 ));
             }
         }
-        if r.name.ends_with("-50k") && r.speedup < 5.0 {
+        if r.policy == Policy::Fair && r.name.ends_with("-50k") && r.speedup < 5.0 {
             println!(
                 "   warning: {} speedup {:.2}x below the 5x acceptance target",
                 r.name, r.speedup

@@ -17,11 +17,12 @@
 //! the probe-overhead measurement — are reported but never asserted.
 
 use crate::experiments::{fabricbench, plannerbench, servebench};
-use crate::jsonv::{self, Value};
 use crate::runner::{run_variant, RunConfig, Variant};
 use crate::table;
 use corral_core::Objective;
 use corral_model::SimTime;
+use corral_serve::jsonv::{self, Value};
+use corral_simnet::RatePolicy;
 use corral_trace::probe;
 use corral_workloads::{assign_uniform_arrivals, w1};
 use std::collections::BTreeMap;
@@ -48,14 +49,12 @@ const REQUIRED_SPANS: [probe::SpanKind; 9] = [
 ];
 
 /// Probe counters the live cells must leave non-zero; a zero means the
-/// counter wiring (or the code path that feeds it) regressed. The split
-/// fabric recompute counters are fed by the Varys live cell: the eager
-/// pass feeds `recompute_full_eager`, the coflow-incremental pass feeds
-/// `recompute_full_boundary` / `recompute_incremental` and the
+/// counter wiring (or the code path that feeds it) regressed. The Varys
+/// live cell feeds the split recompute counters
+/// (`recompute_full_boundary` / `recompute_incremental`) and the
 /// `varys_scratch_elems` footprint gauge.
-const REQUIRED_COUNTERS: [&str; 5] = [
+const REQUIRED_COUNTERS: [&str; 4] = [
     "fabric.recompute_incremental",
-    "fabric.recompute_full_eager",
     "fabric.recompute_full_boundary",
     "fabric.varys_scratch_elems",
     "fabric.scratch_grows",
@@ -224,8 +223,9 @@ pub fn main() {
         "   running live probe cells (fabric small fair + varys, planner large, \
          engine grid, serve small)"
     );
-    let (fab_recomputes, fab_golden) = fabricbench::probe_cell_small();
-    let (fab_varys_recomputes, fab_varys_golden) = fabricbench::probe_cell_varys();
+    let (fab_recomputes, fab_golden) = fabricbench::small_cell(RatePolicy::FairShare, false);
+    let (fab_varys_recomputes, fab_varys_golden) =
+        fabricbench::small_cell(RatePolicy::Varys, false);
     let planner_cell = plannerbench::probe_cell_large();
     let pool = crate::config::pool().progress(false);
     let (planner_cands, _) = planner_cell.run(&pool);

@@ -21,6 +21,4 @@ pub mod experiments;
 pub mod runner;
 pub mod table;
 
-pub use corral_serve::jsonv;
-
 pub use runner::{run_variant, run_variant_grid, RunConfig, Variant};

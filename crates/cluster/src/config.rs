@@ -22,11 +22,6 @@ pub enum NetPolicy {
     Tcp,
     /// Varys coflow scheduling (SEBF + MADD + backfill).
     Varys,
-    /// The pre-optimization max-min path
-    /// ([`corral_simnet::ReferenceFairShare`]), kept as a benchmarking and
-    /// golden-test oracle. Produces bit-identical results to
-    /// [`NetPolicy::Tcp`], only slower.
-    TcpReference,
 }
 
 /// How job input data gets into the cluster.

@@ -14,7 +14,7 @@ use corral_core::plan::Plan;
 use corral_dfs::{CorralPlacement, Dfs, HdfsDefault, PlacementPolicy};
 use corral_model::{Bytes, FlowId, JobId, JobSpec, MachineId, RackId, SimTime, StageId, TaskId};
 use corral_simnet::{
-    CoflowId, CompletedFlow, EventQueue, Fabric, FairShare, FlowKind, FlowSpec, FlowTag, VarysSebf,
+    CoflowId, CompletedFlow, EventQueue, Fabric, FlowKind, FlowSpec, FlowTag, RatePolicy,
 };
 use corral_trace::{
     probe, LocalityCounts, LocalityLevel, MetricsRegistry, NullTracer, Percentiles, RunSummary,
@@ -150,12 +150,11 @@ impl Engine {
             j.validate().expect("invalid job spec");
         }
         let machines = params.cluster.total_machines();
-        let allocator: Box<dyn corral_simnet::RateAllocator> = match params.net {
-            NetPolicy::Tcp => Box::new(FairShare),
-            NetPolicy::Varys => Box::new(VarysSebf),
-            NetPolicy::TcpReference => Box::new(corral_simnet::ReferenceFairShare),
+        let policy = match params.net {
+            NetPolicy::Tcp => RatePolicy::FairShare,
+            NetPolicy::Varys => RatePolicy::Varys,
         };
-        let mut fabric = Fabric::new(params.cluster.clone(), allocator);
+        let mut fabric = Fabric::new(params.cluster.clone(), policy);
         if let Some(bucket) = params.sample_core_utilization {
             fabric.enable_utilization_sampling(bucket);
         }

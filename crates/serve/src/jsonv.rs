@@ -1,7 +1,7 @@
 //! A minimal JSON value: parser + serializer — the wire format of the
-//! `corral-sim serve` JSONL frontend, also re-exported as
-//! `corral_bench::jsonv` for `repro perfreport` (which re-reads the
-//! `BENCH_*.json` files the benches emit and merges them).
+//! `corral-sim serve` JSONL frontend, also read by `repro perfreport`
+//! (which re-reads the `BENCH_*.json` files the benches emit and merges
+//! them).
 //!
 //! The workspace stays dependency-free, and `corral_trace::json` is a
 //! write-only escaper, so the read side lives here. The subset is full

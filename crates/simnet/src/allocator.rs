@@ -1,45 +1,35 @@
-//! Pluggable bandwidth allocation policies.
+//! The two bandwidth allocation policies of the paper's simulation study
+//! (§6.6), as one closed enum the fabric dispatches on:
 //!
-//! The fabric calls the active [`RateAllocator`] whenever the flow set or
-//! link capacities change; the allocator assigns every active flow an
-//! instantaneous rate. Two policies are provided, matching the paper's
-//! simulation study (§6.6):
+//! * [`RatePolicy::FairShare`] — per-flow max-min fairness (the TCP
+//!   stand-in), maintained by the fabric's component-incremental path;
+//! * [`RatePolicy::Varys`] — Varys' coflow scheduling (SEBF + MADD +
+//!   backfill, see [`crate::varys`]), maintained by the coflow-incremental
+//!   path.
 //!
-//! * [`FairShare`] — per-flow max-min fairness (the TCP stand-in);
-//! * [`VarysSebf`] — Varys' coflow scheduling (SEBF + MADD + backfill),
-//!   re-exported from [`crate::varys`].
+//! Each policy also has one from-scratch solve
+//! ([`RatePolicy::allocate_from_scratch`]): the oracle the fabric checks
+//! every incremental recompute against in debug builds.
 
 use crate::flow::CoflowId;
 use crate::link::{Link, LinkId};
-use crate::maxmin::{self, MaxMinScratch};
-use crate::varys::VarysScratch;
-pub use crate::varys::VarysSebf;
-use corral_model::{Bandwidth, Bytes};
-
-/// A read-only view of one active flow handed to the allocator.
-#[derive(Debug, Clone, Copy)]
-pub struct FlowView<'a> {
-    /// Links the flow traverses (never empty: the fabric handles
-    /// machine-local flows itself).
-    pub path: &'a [LinkId],
-    /// Bytes still to transfer.
-    pub remaining: Bytes,
-    /// Coflow membership, if any.
-    pub coflow: Option<CoflowId>,
-}
+use crate::maxmin::{self, ComponentScratch, MaxMinScratch};
+use crate::varys::{self, VarysScratch};
 
 /// The active flow set in flat CSR form: flow `f` traverses
 /// `flow_links[flow_off[f] .. flow_off[f+1]]`. Built by the fabric into
-/// persistent buffers, so handing it to an allocator performs no
-/// allocation. Flows appear in ascending [`FlowId`](crate::flow::FlowId)
-/// order — the same order the legacy `&[FlowView]` slice used.
+/// persistent buffers, so handing it to a solver performs no allocation.
+/// The fabric lists flows in ascending [`FlowId`](corral_model::FlowId)
+/// order.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowTable<'a> {
     /// Prefix offsets into `flow_links`; length is `len() + 1`.
     pub flow_off: &'a [u32],
     /// Concatenated per-flow link paths.
     pub flow_links: &'a [LinkId],
-    /// Bytes still to transfer, per flow.
+    /// Scheduling bytes per flow: Varys ranks and sizes coflows by them
+    /// (the fabric passes each flow's admission size); fair sharing
+    /// ignores them.
     pub remaining: &'a [f64],
     /// Coflow membership, per flow.
     pub coflow: &'a [Option<CoflowId>],
@@ -65,15 +55,17 @@ impl<'a> FlowTable<'a> {
     }
 }
 
-/// Reusable workspaces threaded through [`RateAllocator::allocate_table`].
-/// Owned by the fabric and reused across recomputes, so steady-state rate
-/// allocation performs no heap allocation.
+/// Reusable workspaces threaded through the rate solves. Owned by the
+/// fabric and reused across recomputes, so steady-state rate allocation
+/// performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     /// Effective link capacities, refreshed each call.
     pub caps: Vec<f64>,
     /// Progressive-filling workspace (CSR link→flow index).
     pub maxmin: MaxMinScratch,
+    /// Canonical per-component split and subproblem buffers.
+    pub(crate) comp: ComponentScratch,
     /// Varys grouping/ordering workspace.
     pub varys: VarysScratch,
 }
@@ -84,17 +76,14 @@ impl AllocScratch {
         Self::default()
     }
 
-    /// Freeze rounds executed by the most recent max-min run (including the
-    /// backfill pass for Varys).
-    pub fn last_rounds(&self) -> u64 {
-        self.maxmin.last_rounds()
-    }
-
     /// Total reserved capacity across all scratch buffers, in elements.
     /// Growth of this number indicates a (re)allocation; a flat reading
     /// across recomputes certifies the steady state is allocation-free.
     pub fn footprint(&self) -> usize {
-        self.caps.capacity() + self.maxmin.footprint() + self.varys.footprint()
+        self.caps.capacity()
+            + self.maxmin.footprint()
+            + self.comp.footprint()
+            + self.varys.footprint()
     }
 
     /// Refreshes `caps` from the link table without reallocating once
@@ -106,14 +95,14 @@ impl AllocScratch {
     }
 }
 
-/// Event delta handed to [`RateAllocator::allocate_dirty`]: which flows
+/// Event delta handed to [`varys::allocate_dirty`]: which flows
 /// arrived or departed since the previous recompute, which links those
 /// events touched, and whether effective capacities moved. Group keys are
 /// the fabric's stable per-coflow keys (synthetic singleton keys for
-/// coflow-less flows), so an allocator can dirty exactly the touched
+/// coflow-less flows), so the allocator can dirty exactly the touched
 /// groups. All slot lists ride ascending flow-id order.
 #[derive(Debug, Clone, Copy)]
-pub struct DirtyCtx<'a> {
+pub(crate) struct DirtyCtx<'a> {
     /// Fabric flow slot of each CSR row, ascending (parallel to `rates`).
     pub slots: &'a [u32],
     /// Row index per fabric slot; `u32::MAX` when the slot has no row
@@ -134,13 +123,11 @@ pub struct DirtyCtx<'a> {
     pub caps_changed: bool,
 }
 
-/// What [`RateAllocator::allocate_dirty`] actually did. The fabric uses
+/// What [`varys::allocate_dirty`] actually did. The fabric uses
 /// this to attribute the recompute to the right probe counter and stats
 /// bucket; in every case `rates` is fully written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DirtyOutcome {
-    /// The allocator has no incremental form; the default full solve ran.
-    Unsupported,
+pub(crate) enum DirtyOutcome {
     /// The dirtied priority boundary covered the whole order (capacity
     /// change or cold cache): a full pass ran and rebuilt the caches.
     Full {
@@ -157,202 +144,57 @@ pub enum DirtyOutcome {
     },
 }
 
-/// A bandwidth allocation policy.
-pub trait RateAllocator: Send {
-    /// Human-readable policy name (used in experiment output).
-    fn name(&self) -> &'static str;
+/// A bandwidth allocation policy: which of the paper's two network
+/// schedulers runs, and with it which incremental path the fabric takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RatePolicy {
+    /// Max-min fair sharing: the fluid proxy for long-lived TCP with ideal
+    /// congestion control. Memoryless — rates depend only on paths and
+    /// effective capacities — so it decomposes over connected components.
+    FairShare,
+    /// Varys SEBF + MADD + work-conserving backfill over coflows, with
+    /// scheduling bytes frozen at admission (clairvoyant SEBF).
+    Varys,
+}
 
-    /// Assigns a rate to every flow. `links` carries effective capacities
+impl RatePolicy {
+    /// Human-readable policy name (used in experiment output).
+    pub fn name(self) -> &'static str {
+        match self {
+            RatePolicy::FairShare => "tcp-fair",
+            RatePolicy::Varys => "varys-sebf",
+        }
+    }
+
+    /// Solves every flow of `table` from scratch, using no state cached
+    /// across calls: canonical per-component max-min over the effective
+    /// capacities for fair sharing, canonical SEBF + MADD + per-component
+    /// backfill for Varys. `links` carries the effective capacities
     /// (background traffic already subtracted via
     /// [`Link::effective_capacity`]); `rates` has one slot per flow and is
-    /// fully overwritten.
-    fn allocate(&mut self, links: &[Link], flows: &[FlowView<'_>], rates: &mut [Bandwidth]);
-
-    /// Scratch-carrying entry point used by the fabric's hot path. The
-    /// default implementation materializes `FlowView`s and forwards to
-    /// [`allocate`](Self::allocate) — correct but allocating; fast policies
-    /// override it to work directly on the CSR table.
-    fn allocate_table(
-        &mut self,
+    /// fully overwritten. The fabric's incremental paths must reproduce
+    /// these rates bit for bit.
+    pub fn allocate_from_scratch(
+        self,
         links: &[Link],
         table: &FlowTable<'_>,
         rates: &mut [f64],
         scratch: &mut AllocScratch,
     ) {
-        let _ = scratch;
-        let views: Vec<FlowView<'_>> = (0..table.len())
-            .map(|f| FlowView {
-                path: table.path(f),
-                remaining: Bytes(table.remaining[f]),
-                coflow: table.coflow[f],
-            })
-            .collect();
-        let mut bw = vec![Bandwidth::ZERO; views.len()];
-        self.allocate(links, &views, &mut bw);
-        for (r, b) in rates.iter_mut().zip(bw) {
-            *r = b.0;
+        match self {
+            RatePolicy::FairShare => {
+                scratch.refresh_caps(links);
+                maxmin::max_min_rates_by_component(
+                    &scratch.caps,
+                    table.flow_off,
+                    table.flow_links,
+                    rates,
+                    &mut scratch.comp,
+                    &mut scratch.maxmin,
+                );
+            }
+            RatePolicy::Varys => varys::allocate_from_scratch(links, table, rates, scratch),
         }
-    }
-
-    /// True when the policy's rates depend only on flow paths and
-    /// effective link capacities — not on remaining bytes or coflow
-    /// grouping. Memoryless policies decompose over connected components
-    /// of the link↔flow graph, which is what the fabric's incremental
-    /// recompute exploits; policies with cross-component coupling (Varys'
-    /// SEBF ordering) instead advertise a coflow-local incremental form
-    /// via [`coflow_incremental`](Self::coflow_incremental), or keep the
-    /// eager full solve.
-    fn memoryless(&self) -> bool {
-        false
-    }
-
-    /// True when the policy implements the coflow-granular
-    /// [`allocate_dirty`](Self::allocate_dirty) entry point. The fabric
-    /// then runs `Mode::CoflowIncremental`: lazy byte accounting with
-    /// per-coflow dirty tracking instead of eager full recomputes.
-    fn coflow_incremental(&self) -> bool {
-        false
-    }
-
-    /// Coflow-granular incremental entry point. Given the full current
-    /// CSR `table` plus the event delta in `ctx`, writes every rate in
-    /// `rates` — re-ranking only the touched coflows and re-solving only
-    /// the dirtied components when possible. The default falls back to
-    /// [`allocate_table`](Self::allocate_table) (a full solve) so
-    /// FairShare and future zoo policies are untouched.
-    fn allocate_dirty(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-        ctx: &DirtyCtx<'_>,
-    ) -> DirtyOutcome {
-        let _ = ctx;
-        self.allocate_table(links, table, rates, scratch);
-        DirtyOutcome::Unsupported
-    }
-
-    /// From-scratch reference solve used by the fabric's shadow oracle
-    /// against the coflow-incremental path. Must compute the same rates
-    /// [`allocate_dirty`](Self::allocate_dirty) converges to, using no
-    /// state cached across calls (the oracle owns dedicated scratch and
-    /// this method must reset any incremental cache living in it).
-    fn allocate_from_scratch(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        self.allocate_table(links, table, rates, scratch);
-    }
-
-    /// Solves one connected component on its compacted subproblem:
-    /// `caps[l]` is the effective capacity of compact link `l`, and the
-    /// table's `flow_links` are compact link ids in `0..caps.len()`.
-    /// Only called when [`memoryless`](Self::memoryless) returns true.
-    fn allocate_component(
-        &mut self,
-        caps: &[f64],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        let _ = (caps, table, rates, scratch);
-        unreachable!("allocate_component called on a non-memoryless allocator");
-    }
-}
-
-/// Max-min fair sharing: the fluid proxy for long-lived TCP with ideal
-/// congestion control.
-#[derive(Debug, Default, Clone)]
-pub struct FairShare;
-
-impl RateAllocator for FairShare {
-    fn name(&self) -> &'static str {
-        "tcp-fair"
-    }
-
-    fn allocate(&mut self, links: &[Link], flows: &[FlowView<'_>], rates: &mut [Bandwidth]) {
-        let caps: Vec<f64> = links.iter().map(|l| l.effective_capacity().0).collect();
-        let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.path).collect();
-        let mut raw = vec![0.0; flows.len()];
-        maxmin::max_min_rates_into(&caps, &paths, &mut raw);
-        for (r, raw) in rates.iter_mut().zip(raw) {
-            *r = Bandwidth(raw);
-        }
-    }
-
-    fn allocate_table(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        scratch.refresh_caps(links);
-        maxmin::max_min_rates_csr(
-            &scratch.caps,
-            table.flow_off,
-            table.flow_links,
-            rates,
-            &mut scratch.maxmin,
-        );
-    }
-
-    fn memoryless(&self) -> bool {
-        true
-    }
-
-    fn allocate_component(
-        &mut self,
-        caps: &[f64],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        maxmin::max_min_rates_csr(
-            caps,
-            table.flow_off,
-            table.flow_links,
-            rates,
-            &mut scratch.maxmin,
-        );
-    }
-}
-
-/// The pre-optimization fair-share path, kept verbatim as a benchmarking
-/// and golden-test oracle: it deliberately does *not* override
-/// [`RateAllocator::allocate_table`], so every recompute goes through the
-/// legacy `FlowView` + `Vec<Vec<u32>>` machinery. It reports the same
-/// policy name as [`FairShare`] so run summaries are comparable verbatim.
-#[derive(Debug, Default, Clone)]
-pub struct ReferenceFairShare;
-
-impl RateAllocator for ReferenceFairShare {
-    fn name(&self) -> &'static str {
-        "tcp-fair"
-    }
-
-    fn allocate(&mut self, links: &[Link], flows: &[FlowView<'_>], rates: &mut [Bandwidth]) {
-        FairShare.allocate(links, flows, rates);
-    }
-
-    fn memoryless(&self) -> bool {
-        true
-    }
-
-    fn allocate_component(
-        &mut self,
-        caps: &[f64],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        let _ = scratch;
-        let paths: Vec<&[LinkId]> = (0..table.len()).map(|f| table.path(f)).collect();
-        maxmin::max_min_rates_into(caps, &paths, rates);
     }
 }
 
@@ -360,29 +202,29 @@ impl RateAllocator for ReferenceFairShare {
 mod tests {
     use super::*;
     use crate::link::LinkClass;
+    use corral_model::Bandwidth;
 
     #[test]
     fn fair_share_respects_background() {
         let mut uplink = Link::new(LinkClass::RackUp, 0, Bandwidth(100.0));
         uplink.background = Bandwidth(60.0);
         let links = vec![uplink];
-        let path = [LinkId(0)];
-        let flows = [
-            FlowView {
-                path: &path,
-                remaining: Bytes(1000.0),
-                coflow: None,
-            },
-            FlowView {
-                path: &path,
-                remaining: Bytes(1000.0),
-                coflow: None,
-            },
-        ];
-        let mut rates = [Bandwidth::ZERO; 2];
-        FairShare.allocate(&links, &flows, &mut rates);
+        let flow_links = [LinkId(0), LinkId(0)];
+        let table = FlowTable {
+            flow_off: &[0, 1, 2],
+            flow_links: &flow_links,
+            remaining: &[1000.0, 1000.0],
+            coflow: &[None, None],
+        };
+        let mut rates = [0.0; 2];
+        RatePolicy::FairShare.allocate_from_scratch(
+            &links,
+            &table,
+            &mut rates,
+            &mut AllocScratch::new(),
+        );
         // 40 available, split two ways.
-        assert!((rates[0].0 - 20.0).abs() < 1e-6);
-        assert!((rates[1].0 - 20.0).abs() < 1e-6);
+        assert!((rates[0] - 20.0).abs() < 1e-6);
+        assert!((rates[1] - 20.0).abs() < 1e-6);
     }
 }

@@ -1,17 +1,12 @@
 //! Deterministic discrete-event kernel.
 //!
-//! Two schedulers live here:
+//! [`CalendarQueue`] is a bucketed (calendar-queue) future-event list.
+//! Events hash into day-wide buckets by timestamp, so a pop scans one
+//! short bucket instead of sifting an `O(log n)` heap; bucket count and
+//! width resize deterministically from the queue contents alone. It is the
+//! scheduler behind [`EventQueue`] and the fabric's completion calendar.
 //!
-//! * [`CalendarQueue`] — a bucketed (calendar-queue) future-event list.
-//!   Events hash into day-wide buckets by timestamp, so a pop scans one
-//!   short bucket instead of sifting an `O(log n)` heap; bucket count and
-//!   width resize deterministically from the queue contents alone. This
-//!   is the production scheduler behind [`EventQueue`] and the fabric's
-//!   completion calendar.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept
-//!   verbatim as the ordering oracle for property tests.
-//!
-//! Both pop events in `(time, insertion order)` order: equal-time events
+//! Events pop in `(time, insertion order)` order: equal-time events
 //! fire in insertion order (a strictly monotone sequence number breaks
 //! ties), which is what makes whole-simulation runs reproducible
 //! bit-for-bit. The payload type is generic so higher layers (the cluster
@@ -19,37 +14,7 @@
 
 use corral_model::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
-
-/// An entry in the heap-based event queue.
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the *earliest* event is popped
-        // first, breaking ties by insertion sequence.
-        other
-            .time
-            .total_cmp(self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// One scheduled item in a [`CalendarQueue`].
 #[derive(Debug)]
@@ -378,79 +343,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.cal.is_empty()
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue, kept verbatim as the
-/// ordering oracle: property tests drive [`EventQueue`] and this queue
-/// with identical schedules and assert identical pop streams.
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue with the clock at time zero.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The current simulation time (timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `payload` at absolute time `at`; same panics as
-    /// [`EventQueue::schedule`].
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        assert!(!at.0.is_nan(), "scheduled event at NaN time");
-        assert!(
-            at.0 >= self.now.0,
-            "scheduled event in the past: {} < {}",
-            at,
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            payload,
-        });
-    }
-
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Removes and returns the next event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.heap.pop()?;
-        debug_assert!(e.time.0 >= self.now.0);
-        self.now = e.time;
-        Some((e.time, e.payload))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 

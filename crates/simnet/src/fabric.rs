@@ -4,62 +4,60 @@
 //! flows as tasks need data, asks the fabric for the time of the next flow
 //! completion, and advances the fabric clock alongside its own event queue.
 //! Between flow-set/capacity changes the fluid system evolves linearly, so
-//! "advance" moves exact byte amounts and completions are computed in
-//! closed form.
+//! completions are computed in closed form and byte movement is settled
+//! lazily.
 //!
-//! ## Three recompute modes
+//! ## Two recompute paths, one oracle
 //!
-//! The fabric picks one of three rate-maintenance strategies at
-//! construction, keyed off [`RateAllocator::memoryless`] and
-//! [`RateAllocator::coflow_incremental`]:
+//! The fabric runs one rate-maintenance path per [`RatePolicy`], fixed at
+//! construction:
 //!
-//! * **Eager** (stateful policies with no incremental form): every dirty
-//!   event rebuilds the full CSR flow table and re-solves every flow —
-//!   the original path, kept verbatim.
-//! * **Incremental** (max-min fair sharing): rates of a memoryless policy
-//!   depend only on flow paths and effective capacities, so the link↔flow
-//!   bipartite graph decomposes into connected components that solve
-//!   independently. A flow start/completion/cancel or a background change
-//!   dirties only its endpoint links; the recompute dissolves just the
-//!   components owning those links, re-runs waterfilling over the affected
-//!   flows, and splices the rates back. Everything else keeps its rate,
-//!   its completion deadline stays queued in a calendar queue
-//!   ([`CalendarQueue`]), and its byte accounting is materialized lazily
-//!   (at re-solve, completion, cancellation, or [`Fabric::flush_accounting`]).
-//! * **CoflowIncremental** (Varys/SEBF): the policy couples flows across
+//! * **Fair sharing** (max-min, the TCP stand-in): rates depend only on
+//!   flow paths and effective capacities, so the link↔flow bipartite graph
+//!   decomposes into connected components that solve independently. A flow
+//!   start/completion/cancel or a background change dirties only its
+//!   endpoint links; the recompute dissolves just the components owning
+//!   those links, re-runs waterfilling over the affected flows, and splices
+//!   the rates back.
+//! * **Varys** (SEBF + MADD + backfill): the policy couples flows across
 //!   components through a priority order, but that order depends only on
 //!   per-coflow *scheduling* bytes, which this fabric freezes at admission
 //!   (clairvoyant SEBF, as in the Varys paper — the coflow's size is known
-//!   up front and does not shrink as it transfers). The fabric hands the
-//!   allocator the full CSR each recompute plus the event delta (added /
-//!   departed coflow members, dirtied links, capacity epoch) through
-//!   [`RateAllocator::allocate_dirty`]; the allocator re-ranks only the
-//!   touched coflows and re-solves only the dirtied bottleneck
+//!   up front and does not shrink as it transfers). The fabric rebuilds the
+//!   CSR of alive flows each recompute and hands it, plus the event delta
+//!   (added / departed coflow members, dirtied links, capacity epoch), to
+//!   [`varys::allocate_dirty`](crate::varys); the allocator re-ranks only
+//!   the touched coflows and re-solves only the dirtied backfill
 //!   components, and the fabric splices back exactly the rates whose bits
-//!   changed. Byte accounting, deadlines, and the completion calendar are
-//!   shared with the Incremental mode. Coflow identity uses stable keys:
-//!   the coflow id when present, else a synthetic per-slot singleton key
-//!   (bit 63 set), so group membership never shifts as rows come and go.
+//!   changed. Coflow identity uses stable keys: the coflow id when
+//!   present, else a synthetic per-slot singleton key (bit 63 set), so
+//!   group membership never shifts as rows come and go.
 //!
-//! Both decompositions — incremental and from-scratch — produce the same
-//! canonical per-component subproblem (members ascending by flow slot,
-//! links ascending by id, compact ids by rank), so the per-flow rates are
-//! bit-identical pure functions of the alive flow set. That invariant is
-//! enforced by a shadow oracle ([`Fabric::recompute_full`]): armed by
-//! default in debug builds, it re-solves *every* component from scratch
-//! after each incremental recompute and panics on any rate-bit divergence.
-//! (In CoflowIncremental mode the oracle is
-//! [`RateAllocator::allocate_from_scratch`] over the same CSR — the
-//! canonical SEBF + MADD + per-component backfill with no cached state.)
-//! The oracle never drives simulation state, so runs with it on and off
-//! produce byte-identical event streams and statistics.
+//! Both paths share the lazy byte accounting (materialized at re-solve,
+//! completion, cancellation, or [`Fabric::flush_accounting`]), the
+//! per-flow completion deadlines, and the completion calendar
+//! ([`CalendarQueue`]): a flow whose rate did not change keeps its queued
+//! deadline untouched.
+//!
+//! Both paths solve the same canonical per-component subproblems (members
+//! ascending by flow slot, links ascending by id, compact ids by rank), so
+//! the per-flow rates are bit-identical pure functions of the alive flow
+//! set. One shadow oracle enforces that ([`Fabric::recompute_full`]):
+//! armed by default in debug builds, it rebuilds the CSR of the alive flows
+//! after each recompute, re-solves it through
+//! [`RatePolicy::allocate_from_scratch`], and panics on any rate-bit
+//! divergence. The oracle owns its buffers and never writes simulation
+//! state, so runs with it on and off produce byte-identical event streams
+//! and statistics.
 
-use crate::allocator::{AllocScratch, DirtyCtx, DirtyOutcome, FlowTable, RateAllocator};
+use crate::allocator::{AllocScratch, DirtyCtx, DirtyOutcome, FlowTable, RatePolicy};
 use crate::engine::CalendarQueue;
 use crate::flow::{CoflowId, FlowKind, FlowSpec, FlowState, FlowTag};
 use crate::link::LinkId;
+use crate::maxmin;
 use crate::stats::FabricStats;
 use crate::topology::Topology;
+use crate::varys;
 use corral_model::{Bandwidth, Bytes, ClusterConfig, FlowId, RackId, SimTime};
 use corral_trace::{probe, FlowClass, NullTracer, SharedTracer, TraceEvent};
 
@@ -88,26 +86,10 @@ pub struct CompletedFlow {
     pub finished: SimTime,
 }
 
-/// Which rate-maintenance strategy the fabric runs (fixed at construction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Full CSR rebuild + full solve on every dirty event (stateful
-    /// allocators: rates depend on remaining bytes / coflow ordering).
-    Eager,
-    /// Dirty-set component re-solve with lazy byte accounting (memoryless
-    /// allocators: rates depend only on paths and capacities).
-    Incremental,
-    /// Coflow-local dirty re-solve with lazy byte accounting (stateful
-    /// allocators advertising [`RateAllocator::coflow_incremental`]: the
-    /// allocator owns the dirty decomposition, the fabric owns deltas,
-    /// deadlines, and splice-back).
-    CoflowIncremental,
-}
-
 /// Stable coflow group key: the coflow id when present, else a synthetic
-/// per-slot singleton key with bit 63 set. Unlike the eager path's
-/// row-index sentinel this never shifts as rows come and go, which is
-/// what lets the allocator cache per-coflow state across recomputes.
+/// per-slot singleton key with bit 63 set. It never shifts as rows come
+/// and go, which is what lets the Varys allocator cache per-coflow state
+/// across recomputes.
 #[inline]
 fn stable_coflow_key(coflow: Option<CoflowId>, slot: usize) -> u64 {
     coflow.map(|c| c.0).unwrap_or((1u64 << 63) | slot as u64)
@@ -117,8 +99,7 @@ fn stable_coflow_key(coflow: Option<CoflowId>, slot: usize) -> u64 {
 const NO_COMP: u32 = u32::MAX;
 
 /// Closed-form completion deadline of a flow with `rem` bytes left moving
-/// at `rate` from time `now` — the same three-way split the eager
-/// next-completion fold uses.
+/// at `rate` from time `now`.
 #[inline]
 fn deadline_for(now: f64, rem: f64, rate: f64) -> f64 {
     if Bytes(rem).is_negligible() {
@@ -154,28 +135,25 @@ fn union(uf: &mut [u32], a: u32, b: u32) {
     uf[hi as usize] = lo;
 }
 
-/// Persistent buffers for [`Fabric::recompute`]: the CSR flow table handed
-/// to the allocator plus its companion arrays. Cleared and refilled each
-/// recompute; never shrunk, so the steady state performs no allocation.
+/// A CSR flow table of the alive network flows plus the solver's output
+/// and workspaces. The Varys path rebuilds the live one every recompute;
+/// the shadow oracle keeps a second one of its own. Cleared and refilled
+/// each use, never shrunk, so the steady state performs no allocation.
 #[derive(Debug, Default)]
 struct RecomputeScratch {
     /// CSR prefix offsets (one per network flow, plus a trailing total).
     flow_off: Vec<u32>,
     /// Concatenated per-flow link paths.
     flow_links: Vec<LinkId>,
-    /// Remaining bytes per network flow.
+    /// Frozen-at-admission scheduling bytes per network flow.
     remaining: Vec<f64>,
-    /// Coflow membership per network flow.
+    /// Stable coflow key per network flow.
     coflow: Vec<Option<CoflowId>>,
-    /// `FlowId` of each network flow (row → id mapping).
-    view_ids: Vec<FlowId>,
-    /// Remaining bytes of the machine-local (empty-path) flows, in
-    /// `active` order; lets the next-completion fold run entirely on
-    /// dense arrays.
-    local_remaining: Vec<f64>,
+    /// Fabric flow slot of each row, ascending.
+    slots: Vec<u32>,
     /// Allocator output, one rate per network flow.
     rates: Vec<f64>,
-    /// Allocator-side workspaces (max-min CSR, Varys grouping).
+    /// Allocator-side workspaces (max-min CSR, components, Varys grouping).
     alloc: AllocScratch,
 }
 
@@ -188,53 +166,45 @@ impl RecomputeScratch {
             + self.flow_links.capacity()
             + self.remaining.capacity()
             + self.coflow.capacity()
-            + self.view_ids.capacity()
-            + self.local_remaining.capacity()
+            + self.slots.capacity()
             + self.rates.capacity()
             + self.alloc.footprint()
     }
+
+    /// Empties the table, keeping every allocation.
+    fn clear(&mut self) {
+        self.flow_off.clear();
+        self.flow_links.clear();
+        self.remaining.clear();
+        self.coflow.clear();
+        self.slots.clear();
+        self.flow_off.push(0);
+    }
+
+    /// Appends network flow `f` (fabric slot `slot`) as the next row.
+    fn push_row(&mut self, slot: usize, f: &FlowState) {
+        self.flow_links.extend_from_slice(f.path.as_slice());
+        self.flow_off.push(self.flow_links.len() as u32);
+        self.remaining.push(f.spec.bytes.clamp_non_negative().0);
+        self.coflow
+            .push(Some(CoflowId(stable_coflow_key(f.spec.coflow, slot))));
+        self.slots.push(slot as u32);
+    }
+
+    /// The table as the solvers see it, the row slots, the output buffer,
+    /// and the workspaces, borrowed apart.
+    fn split(&mut self) -> (FlowTable<'_>, &[u32], &mut [f64], &mut AllocScratch) {
+        let table = FlowTable {
+            flow_off: &self.flow_off,
+            flow_links: &self.flow_links,
+            remaining: &self.remaining,
+            coflow: &self.coflow,
+        };
+        (table, &self.slots, &mut self.rates, &mut self.alloc)
+    }
 }
 
-/// Buffers private to the shadow oracle's from-scratch decomposition.
-/// Kept fully separate from the incremental scratch (and excluded from
-/// footprint accounting) so arming the oracle cannot perturb
-/// [`FabricStats`] — oracle-on and oracle-off runs stay byte-identical.
-#[derive(Debug, Default)]
-struct OracleScratch {
-    /// Alive network flow slots, ascending.
-    cand: Vec<u32>,
-    /// Group id per candidate (first-seen ascending order).
-    grp: Vec<u32>,
-    /// Counting-sort prefix offsets per group.
-    off: Vec<u32>,
-    /// Counting-sort placement cursors.
-    cursor: Vec<u32>,
-    /// Candidates grouped by component, members ascending within each.
-    members: Vec<u32>,
-    /// Union-find parents over candidate indices.
-    uf: Vec<u32>,
-    /// Root index → group id.
-    root: Vec<u32>,
-    /// One component's links, deduped and sorted ascending.
-    links: Vec<LinkId>,
-    /// Effective capacities of `links`, compact order.
-    caps: Vec<f64>,
-    /// Compact CSR offsets for the component's members.
-    csr_off: Vec<u32>,
-    /// Compact CSR link ids.
-    csr_links: Vec<LinkId>,
-    /// Remaining bytes per member (ignored by memoryless policies).
-    rem: Vec<f64>,
-    /// Coflow membership per member.
-    coflow: Vec<Option<CoflowId>>,
-    /// Solver output to compare against the cached incremental rates.
-    rates: Vec<f64>,
-    /// The oracle's own allocator workspaces (never shared with the
-    /// incremental path's, so oracle runs cannot grow live scratch).
-    alloc: AllocScratch,
-}
-
-/// All state backing the incremental recompute mode.
+/// All state backing the two incremental recompute paths.
 ///
 /// Per-flow arrays are indexed by flow slot (= `FlowId`) and grow
 /// monotonically with the flow id space; per-link arrays are fixed at
@@ -279,20 +249,18 @@ struct IncState {
     pending_links: Vec<LinkId>,
     /// Newly started network flows not yet in any component.
     pending_new: Vec<u32>,
-    /// Coflow mode: network flows departed (completed or cancelled) since
-    /// the last recompute, `(stable group key, slot)` in event order.
+    /// Varys: network flows departed (completed or cancelled) since the
+    /// last recompute, `(stable group key, slot)` in event order.
     pending_departed: Vec<(u64, u32)>,
-    /// Coflow mode: effective capacities changed since the last recompute
+    /// Varys: effective capacities changed since the last recompute
     /// (background-traffic epoch) — invalidates the allocator's caches.
     caps_dirty: bool,
-    // -- coflow-mode CSR mapping --
-    /// Fabric slot of each CSR row from the last coflow recompute,
-    /// ascending (parallel to the rate scratch).
-    csr_slots: Vec<u32>,
+    // -- Varys CSR mapping --
     /// Row index per fabric slot (`u32::MAX` when absent). Reset sparsely
-    /// via `csr_slots`, so maintenance is O(rows), not O(all slots ever).
+    /// via the previous table's `slots`, so maintenance is O(rows), not
+    /// O(all slots ever).
     row_of: Vec<u32>,
-    /// `(stable group key, slot)` of flows admitted since the last coflow
+    /// `(stable group key, slot)` of flows admitted since the last Varys
     /// recompute, ascending slot order, dead-filtered.
     added: Vec<(u64, u32)>,
     /// Completion calendar: `(flow slot, generation)` at the deadline.
@@ -316,14 +284,8 @@ struct IncState {
     sub_off: Vec<u32>,
     /// Compact CSR link ids.
     sub_links: Vec<LinkId>,
-    /// Remaining bytes per member (ignored by memoryless policies).
-    sub_remaining: Vec<f64>,
-    /// Coflow membership per member.
-    sub_coflow: Vec<Option<CoflowId>>,
     /// Solver output per member.
     sub_rates: Vec<f64>,
-    /// Shadow-oracle buffers (see [`OracleScratch`]).
-    oracle: OracleScratch,
     /// Dead (`None`) slots still lingering in `Fabric::active`; drives the
     /// amortized purge.
     dead: usize,
@@ -357,8 +319,7 @@ impl IncState {
     /// recompute would defeat the incremental path's point. Excluded by
     /// design: the per-flow arrays including `row_of` (they grow with the
     /// flow id space, not with leaks), the calendar queue (its bucket
-    /// count tracks pending entries), `comp_flows` inner vectors, and the
-    /// oracle scratch (arming the oracle must not perturb stats).
+    /// count tracks pending entries), and `comp_flows` inner vectors.
     fn footprint(&self) -> usize {
         self.link_comp.capacity()
             + self.link_first.capacity()
@@ -370,7 +331,6 @@ impl IncState {
             + self.pending_links.capacity()
             + self.pending_new.capacity()
             + self.pending_departed.capacity()
-            + self.csr_slots.capacity()
             + self.added.capacity()
             + self.cand.capacity()
             + self.uf.capacity()
@@ -380,8 +340,6 @@ impl IncState {
             + self.sub_caps.capacity()
             + self.sub_off.capacity()
             + self.sub_links.capacity()
-            + self.sub_remaining.capacity()
-            + self.sub_coflow.capacity()
             + self.sub_rates.capacity()
     }
 }
@@ -389,21 +347,18 @@ impl IncState {
 /// Flow-level network simulator for one cluster fabric.
 pub struct Fabric {
     topo: Topology,
-    allocator: Box<dyn RateAllocator>,
+    /// Rate-allocation policy; selects the recompute path.
+    policy: RatePolicy,
     /// Flow table indexed by `FlowId`; completed/cancelled slots are `None`.
     flows: Vec<Option<FlowState>>,
     /// Active flow ids, ascending (ids are allocated monotonically).
-    /// Cancelled flows may linger as `None` slots until the next
-    /// [`Fabric::recompute`] purges them in one `retain` pass (eager mode)
-    /// or the amortized purge fires (incremental mode).
+    /// Completed and cancelled flows linger as `None` slots until the
+    /// amortized purge (or the Varys recompute's CSR pass) drops them.
     active: Vec<FlowId>,
     now: SimTime,
     /// Set when the flow set or link capacities changed since the last rate
     /// computation.
     dirty: bool,
-    /// Cached next completion time (eager mode only; the incremental mode
-    /// reads its calendar queue instead).
-    next_completion: SimTime,
     stats: FabricStats,
     /// Rate granted to machine-local (empty-path) transfers.
     local_rate: Bandwidth,
@@ -414,64 +369,37 @@ pub struct Fabric {
     tracer: SharedTracer,
     /// Cached `tracer.enabled()` so the hot path is one branch.
     trace_on: bool,
-    /// Reused recompute buffers (CSR table, rates, allocator workspaces).
+    /// Reused recompute buffers (Varys CSR table, rates, allocator
+    /// workspaces).
     scratch: RecomputeScratch,
     /// Footprint after the previous recompute, to detect growth.
     scratch_footprint: usize,
     /// Last Varys workspace footprint pushed to the
-    /// `fabric.varys_scratch_elems` gauge (coflow mode only).
+    /// `fabric.varys_scratch_elems` gauge.
     last_varys_footprint: usize,
-    /// Rate-maintenance strategy, fixed at construction from
-    /// [`RateAllocator::memoryless`].
-    mode: Mode,
-    /// Whether the shadow full-recompute oracle runs after every
-    /// incremental recompute (default: debug builds only).
+    /// Whether the shadow from-scratch oracle runs after every recompute
+    /// (default: debug builds only).
     oracle: bool,
-    /// Incremental-mode state (empty in eager mode).
+    /// The oracle's own CSR table and workspaces, kept apart from the live
+    /// ones (and out of the footprint) so arming it cannot perturb stats.
+    oracle_scratch: RecomputeScratch,
+    /// Incremental-path state.
     inc: IncState,
 }
 
 impl Fabric {
     /// Builds a fabric for `cfg` with the given allocation policy.
-    /// Memoryless policies run `Mode::Incremental`, policies advertising a
-    /// coflow-granular dirty entry point run `Mode::CoflowIncremental`,
-    /// and everything else runs the eager full-recompute path.
-    pub fn new(cfg: ClusterConfig, allocator: Box<dyn RateAllocator>) -> Self {
-        let mode = if allocator.memoryless() {
-            Mode::Incremental
-        } else if allocator.coflow_incremental() {
-            Mode::CoflowIncremental
-        } else {
-            Mode::Eager
-        };
-        Self::with_mode(cfg, allocator, mode)
-    }
-
-    /// Builds a fabric that *forces* the eager full-recompute path even
-    /// for allocators with an incremental form. Benchmark baselines use
-    /// this to measure the incremental speedup against the verbatim
-    /// original path; simulation results are identical either way (the
-    /// armed oracle is the proof obligation).
-    pub fn new_eager(cfg: ClusterConfig, allocator: Box<dyn RateAllocator>) -> Self {
-        Self::with_mode(cfg, allocator, Mode::Eager)
-    }
-
-    fn with_mode(cfg: ClusterConfig, allocator: Box<dyn RateAllocator>, mode: Mode) -> Self {
+    pub fn new(cfg: ClusterConfig, policy: RatePolicy) -> Self {
         let local_rate = cfg.nic_bandwidth * 2.0; // loopback: faster than NIC
         let topo = Topology::new(cfg);
-        let nlinks = if mode == Mode::Eager {
-            0
-        } else {
-            topo.links().len()
-        };
+        let nlinks = topo.links().len();
         Fabric {
             topo,
-            allocator,
+            policy,
             flows: Vec::new(),
             active: Vec::new(),
             now: SimTime::ZERO,
             dirty: false,
-            next_completion: SimTime::INFINITY,
             stats: FabricStats::default(),
             local_rate,
             sampling: None,
@@ -480,8 +408,8 @@ impl Fabric {
             scratch: RecomputeScratch::default(),
             scratch_footprint: 0,
             last_varys_footprint: 0,
-            mode,
             oracle: cfg!(debug_assertions),
+            oracle_scratch: RecomputeScratch::default(),
             inc: IncState::new(nlinks),
         }
     }
@@ -493,15 +421,14 @@ impl Fabric {
         self.tracer = tracer;
     }
 
-    /// Arms or disarms the shadow full-recompute oracle (incremental mode
-    /// only; a no-op for eager allocators). When armed, every incremental
-    /// recompute is followed by a from-scratch decomposition + solve of the
-    /// *entire* alive flow set, panicking if any flow's rate bits diverge
-    /// from the incrementally maintained table. The oracle reads but never
-    /// writes simulation state and keeps its own scratch, so toggling it
-    /// cannot change results or statistics — only wall-clock time. Defaults
-    /// to on in debug builds (so every test doubles as a tripwire) and off
-    /// in release builds.
+    /// Arms or disarms the shadow from-scratch oracle. When armed, every
+    /// recompute is followed by a from-scratch solve of the *entire* alive
+    /// flow set ([`RatePolicy::allocate_from_scratch`]), panicking if any
+    /// flow's rate bits diverge from the incrementally maintained table.
+    /// The oracle reads but never writes simulation state and keeps its own
+    /// scratch, so toggling it cannot change results or statistics — only
+    /// wall-clock time. Defaults to on in debug builds (so every test
+    /// doubles as a tripwire) and off in release builds.
     pub fn set_full_oracle(&mut self, on: bool) {
         self.oracle = on;
     }
@@ -517,8 +444,8 @@ impl Fabric {
     /// fraction_of_aggregate_uplink_capacity)`. Empty unless
     /// [`Fabric::enable_utilization_sampling`] was called.
     ///
-    /// Incremental mode accounts bytes lazily — call
-    /// [`Fabric::flush_accounting`] first when flows are still in flight.
+    /// Bytes are accounted lazily — call [`Fabric::flush_accounting`]
+    /// first when flows are still in flight.
     pub fn core_utilization_series(&self) -> Vec<(f64, f64)> {
         let Some((bucket, ref bytes)) = self.sampling else {
             return Vec::new();
@@ -544,8 +471,8 @@ impl Fabric {
 
     /// Traffic accounting so far.
     ///
-    /// Incremental mode materializes byte movement lazily; mid-run (with
-    /// flows still in flight) call [`Fabric::flush_accounting`] first to
+    /// Byte movement is materialized lazily; mid-run (with flows still in
+    /// flight) call [`Fabric::flush_accounting`] first to
     /// settle the counters up to [`Fabric::now`]. Counts of events
     /// (starts, completions, recomputes) are always current.
     pub fn stats(&self) -> &FabricStats {
@@ -554,13 +481,9 @@ impl Fabric {
 
     /// Settles all lazy byte accounting up to the current clock: every
     /// in-flight flow's transferred bytes are pushed into the link
-    /// counters, [`FabricStats`], and the utilization sampler. A no-op in
-    /// eager mode (which accounts continuously) and on quiesced fabrics;
-    /// safe to call at any point.
+    /// counters, [`FabricStats`], and the utilization sampler. A no-op on
+    /// quiesced fabrics; safe to call at any point.
     pub fn flush_accounting(&mut self) {
-        if self.mode == Mode::Eager {
-            return;
-        }
         let now = self.now.0;
         for i in 0..self.active.len() {
             let id = self.active[i];
@@ -574,8 +497,8 @@ impl Fabric {
     /// link class, as fractions in [0, 1]: `(machine links, rack core
     /// links)`. Returns zeros before any time has passed.
     ///
-    /// Incremental mode accounts bytes lazily — call
-    /// [`Fabric::flush_accounting`] first when flows are still in flight.
+    /// Bytes are accounted lazily — call [`Fabric::flush_accounting`]
+    /// first when flows are still in flight.
     pub fn class_utilization(&self) -> (f64, f64) {
         let elapsed = self.now.as_secs();
         if elapsed <= 0.0 {
@@ -607,13 +530,13 @@ impl Fabric {
 
     /// The active allocation policy's name.
     pub fn allocator_name(&self) -> &'static str {
-        self.allocator.name()
+        self.policy.name()
     }
 
     /// Number of in-flight flows.
     pub fn active_flow_count(&self) -> usize {
-        // `active` may still hold flows cancelled since the last recompute
-        // (they are purged lazily); count only live slots.
+        // `active` may still hold finished or cancelled flows (they are
+        // purged lazily); count only live slots.
         self.active
             .iter()
             .filter(|id| self.flows[id.index()].is_some())
@@ -622,19 +545,14 @@ impl Fabric {
 
     /// Remaining bytes of a flow, or `None` if it already finished.
     pub fn flow_remaining(&self, id: FlowId) -> Option<Bytes> {
-        let f = self.flows.get(id.index()).and_then(|f| f.as_ref())?;
-        match self.mode {
-            Mode::Eager => Some(f.remaining),
-            Mode::Incremental | Mode::CoflowIncremental => {
-                // Virtual read: project the materialized remainder forward
-                // at the flow's current rate (rates stay valid through
-                // `now`; dirt only accrues at the current instant).
-                let s = id.index();
-                let dt = (self.now.0 - self.inc.epoch[s]).max(0.0);
-                let moved = (self.inc.rate[s] * dt).min(self.inc.rem[s]);
-                Some(Bytes((self.inc.rem[s] - moved).max(0.0)))
-            }
-        }
+        self.flows.get(id.index()).and_then(|f| f.as_ref())?;
+        // Virtual read: project the materialized remainder forward at the
+        // flow's current rate (rates stay valid through `now`; dirt only
+        // accrues at the current instant).
+        let s = id.index();
+        let dt = (self.now.0 - self.inc.epoch[s]).max(0.0);
+        let moved = (self.inc.rate[s] * dt).min(self.inc.rem[s]);
+        Some(Bytes((self.inc.rem[s] - moved).max(0.0)))
     }
 
     /// Starts an *ingress* flow: data arriving from outside the cluster
@@ -664,15 +582,12 @@ impl Fabric {
                 coflow,
             },
             path,
-            remaining: bytes.clamp_non_negative(),
             cross_rack: false,
         }));
         self.active.push(id);
         self.stats.flows_started += 1;
         self.mark_dirty(probe::ProbeCounter::RecomputeFlowStart);
-        if self.mode != Mode::Eager {
-            self.register_started(id);
-        }
+        self.register_started(id);
         if self.trace_on {
             self.tracer.record(
                 self.now.as_secs(),
@@ -699,15 +614,12 @@ impl Fabric {
         self.flows.push(Some(FlowState {
             spec,
             path,
-            remaining: spec.bytes.clamp_non_negative(),
             cross_rack,
         }));
         self.active.push(id);
         self.stats.flows_started += 1;
         self.mark_dirty(probe::ProbeCounter::RecomputeFlowStart);
-        if self.mode != Mode::Eager {
-            self.register_started(id);
-        }
+        self.register_started(id);
         if self.trace_on {
             self.tracer.record(
                 self.now.as_secs(),
@@ -728,53 +640,30 @@ impl Fabric {
     /// flow that already finished is a no-op.
     ///
     /// Removal from the active list is deferred: the slot is emptied here
-    /// and the id is dropped by the next [`Fabric::recompute`]'s single
-    /// `retain` pass (eager mode) or the amortized purge (incremental
-    /// mode), so a batch of cancellations (e.g. speculation kills) costs
-    /// one O(n) sweep instead of one O(n) `remove` each.
+    /// and the id is dropped by the amortized purge (or the Varys
+    /// recompute's CSR pass), so a batch of cancellations (e.g. speculation
+    /// kills) costs one O(n) sweep instead of one O(n) `remove` each.
     pub fn cancel_flow(&mut self, id: FlowId) {
-        match self.mode {
-            Mode::Eager => {
-                if let Some(slot) = self.flows.get_mut(id.index()) {
-                    if slot.take().is_some() {
-                        self.mark_dirty(probe::ProbeCounter::RecomputeFlowCancel);
-                    }
-                }
-            }
-            Mode::Incremental | Mode::CoflowIncremental => {
-                let s = id.index();
-                if !matches!(self.flows.get(s), Some(Some(_))) {
-                    return;
-                }
-                // Settle the bytes it moved so far, then drop it and seed
-                // the dirty set with the links it frees.
-                self.materialize_flow(s, self.now.0);
-                let f = self.flows[s].take().unwrap();
-                let inc = &mut self.inc;
-                if self.mode == Mode::CoflowIncremental && !f.path.is_empty() {
-                    inc.pending_departed
-                        .push((stable_coflow_key(f.spec.coflow, s), s as u32));
-                }
-                inc.gen[s] = inc.gen[s].wrapping_add(1);
-                inc.dead += 1;
-                for &l in f.path.as_slice() {
-                    inc.pending_links.push(l);
-                }
-                self.mark_dirty(probe::ProbeCounter::RecomputeFlowCancel);
-                self.maybe_purge_active();
-            }
+        let s = id.index();
+        if !matches!(self.flows.get(s), Some(Some(_))) {
+            return;
         }
+        // Settle the bytes it moved so far, then drop it and seed the dirty
+        // set with the links it frees.
+        self.materialize_flow(s, self.now.0);
+        let f = self.flows[s].take().expect("liveness checked above");
+        self.retire(s, f.path.as_slice(), f.spec.coflow);
+        self.mark_dirty(probe::ProbeCounter::RecomputeFlowCancel);
+        self.maybe_purge_active();
     }
 
     /// Sets the background reservation on one directed link.
     pub fn set_background(&mut self, link: LinkId, bw: Bandwidth) {
         self.topo.links_mut()[link.index()].background = bw;
-        if self.mode != Mode::Eager {
-            self.inc.pending_links.push(link);
-            // Coflow mode: a capacity epoch invalidates every cached Γ
-            // and residual on the allocator side.
-            self.inc.caps_dirty = true;
-        }
+        self.inc.pending_links.push(link);
+        // Varys: a capacity epoch invalidates every cached Γ and residual
+        // on the allocator side.
+        self.inc.caps_dirty = true;
         self.mark_dirty(probe::ProbeCounter::RecomputeBackground);
     }
 
@@ -789,23 +678,11 @@ impl Fabric {
     /// Time of the next flow completion, if any flow will ever complete
     /// under current rates.
     pub fn next_completion(&mut self) -> Option<SimTime> {
-        match self.mode {
-            Mode::Eager => {
-                if self.dirty {
-                    self.recompute();
-                }
-                self.next_completion
-                    .is_finite()
-                    .then_some(self.next_completion)
-            }
-            Mode::Incremental | Mode::CoflowIncremental => {
-                if self.dirty {
-                    self.recompute_lazy();
-                }
-                let now = self.now;
-                self.peek_fresh().map(|t| SimTime(t).max(now))
-            }
+        if self.dirty {
+            self.recompute();
         }
+        let now = self.now;
+        self.peek_fresh().map(|t| SimTime(t).max(now))
     }
 
     /// Advances the fabric clock to `t`, transferring bytes and collecting
@@ -827,6 +704,10 @@ impl Fabric {
     /// *appended* to `out` (which is not cleared), so a caller-owned buffer
     /// can be reused across events.
     ///
+    /// Each round recomputes the dirty rates, pops the next fresh
+    /// completion deadline up to `t`, settles the completed flow's
+    /// accounting, and marks its freed links dirty for the next round.
+    ///
     /// # Panics
     /// Panics if `t` is earlier than the current fabric time.
     pub fn advance_collect(&mut self, t: SimTime, out: &mut Vec<CompletedFlow>) {
@@ -837,10 +718,34 @@ impl Fabric {
             self.now
         );
         let t = t.max(self.now);
-        match self.mode {
-            Mode::Eager => self.advance_collect_eager(t, out),
-            Mode::Incremental | Mode::CoflowIncremental => {
-                self.advance_collect_incremental(t, out)
+        loop {
+            if self.dirty {
+                self.recompute();
+            }
+            match self.peek_fresh() {
+                Some(tc) if tc <= t.0 => {
+                    let (time, (slot, _gen)) = self.inc.queue.pop().expect("peeked entry");
+                    let tc = SimTime(time).max(self.now);
+                    self.now = tc;
+                    self.complete(slot as usize, tc, out);
+                    // Varys: drain the *exact*-equal-time batch before
+                    // recomputing. Every such entry's remaining hits zero
+                    // at `time` under the current rates, so completing them
+                    // together is byte-identical to interleaving recomputes
+                    // (which would re-queue each at the same instant) —
+                    // and it saves one full MADD replay per same-time
+                    // completion.
+                    if self.policy == RatePolicy::Varys {
+                        while self.peek_fresh() == Some(time) {
+                            let (_, (s2, _g2)) = self.inc.queue.pop().expect("peeked entry");
+                            self.complete(s2 as usize, tc, out);
+                        }
+                    }
+                }
+                _ => {
+                    self.now = t;
+                    return;
+                }
             }
         }
     }
@@ -862,228 +767,24 @@ impl Fabric {
         }
     }
 
-    /// Runs the shadow oracle now: a from-scratch component decomposition
-    /// and solve of the entire alive flow set, asserting bit-equality with
-    /// the incrementally maintained rate table (panicking on divergence).
-    /// This *is* the retained full solver — same canonical subproblems,
-    /// same kernel — kept in-process as a tripwire rather than a dead code
-    /// path. No-op in eager mode (the full solve is already the live path).
-    /// Recomputes first if the fabric is dirty; reads but never writes
-    /// simulation state or statistics.
+    /// Runs the shadow oracle now: a from-scratch solve of the entire
+    /// alive flow set, asserting bit-equality with the incrementally
+    /// maintained rate table (panicking on divergence). Recomputes first if
+    /// the fabric is dirty; reads but never writes simulation state or
+    /// statistics.
     pub fn recompute_full(&mut self) {
-        match self.mode {
-            Mode::Eager => {}
-            Mode::Incremental => {
-                if self.dirty {
-                    self.recompute_incremental();
-                }
-                self.oracle_check();
-            }
-            Mode::CoflowIncremental => {
-                if self.dirty {
-                    self.recompute_coflow();
-                }
-                self.oracle_check_coflow();
-            }
+        if self.dirty {
+            self.recompute();
         }
+        self.oracle_check();
     }
 
-    /// Dispatches to the lazy recompute of the active non-eager mode.
+    /// Dispatches to the recompute path of the fabric's policy.
     #[inline]
-    fn recompute_lazy(&mut self) {
-        match self.mode {
-            Mode::Incremental => self.recompute_incremental(),
-            Mode::CoflowIncremental => self.recompute_coflow(),
-            Mode::Eager => unreachable!("eager mode recomputes inline"),
-        }
-    }
-
-    // -- eager internals -----------------------------------------------------
-
-    /// The eager advance loop: recompute on dirt, step completion by
-    /// completion, then move the residual interval's bytes.
-    fn advance_collect_eager(&mut self, t: SimTime, out: &mut Vec<CompletedFlow>) {
-        loop {
-            if self.dirty {
-                self.recompute();
-            }
-            if self.next_completion.0 <= t.0 {
-                let tc = self.next_completion.max(self.now);
-                self.step_to_completion(tc, out);
-            } else {
-                self.move_bytes(t - self.now);
-                self.now = t;
-                break;
-            }
-        }
-    }
-
-    /// Recomputes flow rates via the allocator and caches the next
-    /// completion time. Steady-state allocation-free: the flow table is
-    /// rebuilt into persistent CSR buffers and the allocator works out of
-    /// reusable scratch (growth is tracked by
-    /// [`FabricStats::scratch_grows`]).
     fn recompute(&mut self) {
-        let _probe = probe::span(probe::SpanKind::FabricRecompute);
-        self.dirty = false;
-        self.stats.recomputes += 1;
-        self.stats.recomputes_full += 1;
-        probe::count(probe::ProbeCounter::RecomputeFullEager, 1);
-
-        // One pass over `active`: purge flows cancelled since the last
-        // recompute (preserving the ascending-FlowId order determinism
-        // relies on) while building the CSR table of network flows in that
-        // same order — the order the legacy `Vec<FlowView>` slice used.
-        // Machine-local (empty-path) flows stay active but are the
-        // fabric's problem, not the allocator's.
-        let flows = &self.flows;
-        let scratch = &mut self.scratch;
-        scratch.flow_off.clear();
-        scratch.flow_links.clear();
-        scratch.remaining.clear();
-        scratch.coflow.clear();
-        scratch.view_ids.clear();
-        scratch.local_remaining.clear();
-        scratch.flow_off.push(0);
-        self.active.retain(|&id| {
-            let Some(f) = flows[id.index()].as_ref() else {
-                return false;
-            };
-            if !f.path.is_empty() {
-                scratch.flow_links.extend_from_slice(f.path.as_slice());
-                scratch.flow_off.push(scratch.flow_links.len() as u32);
-                scratch.remaining.push(f.remaining.0);
-                scratch.coflow.push(f.spec.coflow);
-                scratch.view_ids.push(id);
-            } else {
-                scratch.local_remaining.push(f.remaining.0);
-            }
-            true
-        });
-        scratch.rates.clear();
-        scratch.rates.resize(scratch.view_ids.len(), 0.0);
-        let table = FlowTable {
-            flow_off: &scratch.flow_off,
-            flow_links: &scratch.flow_links,
-            remaining: &scratch.remaining,
-            coflow: &scratch.coflow,
-        };
-        {
-            let _probe = probe::span(probe::SpanKind::FabricMaxMin);
-            self.allocator.allocate_table(
-                self.topo.links(),
-                &table,
-                &mut scratch.rates,
-                &mut scratch.alloc,
-            );
-        }
-        let rounds = scratch.alloc.last_rounds();
-        self.stats.maxmin_rounds += rounds;
-        probe::count(probe::ProbeCounter::MaxMinRounds, rounds);
-        let footprint = scratch.footprint();
-        if footprint != self.scratch_footprint {
-            self.scratch_footprint = footprint;
-            self.stats.scratch_grows += 1;
-            probe::count(probe::ProbeCounter::FabricScratchGrow, 1);
-        }
-
-        // Fold the next completion time straight from the dense scratch
-        // arrays — rates are *not* written back to the scattered flow
-        // table; `move_bytes` / `step_to_completion` read them through a
-        // running cursor instead (`active` cannot change between a
-        // recompute and the next byte movement without setting `dirty`).
-        // Each flow's `tc` uses the same expressions as the old
-        // per-flow-table pass, and a `min` fold over the same values is
-        // order-insensitive (no NaNs arise), so the cached
-        // `next_completion` is bit-identical.
-        let local_rate = self.local_rate;
-        let mut next = SimTime::INFINITY;
-        let scratch = &self.scratch;
-        for (vi, &raw) in scratch.rates.iter().enumerate() {
-            let remaining = Bytes(scratch.remaining[vi]);
-            let rate = Bandwidth(raw);
-            let tc = if remaining.is_negligible() {
-                self.now
-            } else if rate.is_negligible() {
-                SimTime::INFINITY
-            } else {
-                self.now + remaining / rate
-            };
-            next = next.min(tc);
-        }
-        for &rem in &scratch.local_remaining {
-            let remaining = Bytes(rem);
-            let tc = if remaining.is_negligible() {
-                self.now
-            } else if local_rate.is_negligible() {
-                SimTime::INFINITY
-            } else {
-                self.now + remaining / local_rate
-            };
-            next = next.min(tc);
-        }
-        self.next_completion = next;
-    }
-
-    /// Transfers `dt` worth of bytes on every active flow and accounts them.
-    ///
-    /// Flow rates are read from the recompute scratch through a running
-    /// cursor: non-local flows appear in `active` order there, and the
-    /// active list cannot have changed since the last recompute (any
-    /// mutation sets `dirty`, and every caller recomputes first).
-    fn move_bytes(&mut self, dt: SimTime) {
-        if dt.0 <= 0.0 {
-            return;
-        }
-        let local_rate = self.local_rate;
-        let mut vi = 0usize;
-        for &id in &self.active {
-            let f = self.flows[id.index()].as_mut().unwrap();
-            let rate = if f.path.is_empty() {
-                local_rate
-            } else {
-                let r = Bandwidth(self.scratch.rates[vi]);
-                vi += 1;
-                r
-            };
-            let delta = (rate * dt).min(f.remaining);
-            if delta.0 <= 0.0 {
-                continue;
-            }
-            f.remaining = (f.remaining - delta).clamp_non_negative();
-            let local = f.path.is_empty();
-            let cross = f.cross_rack;
-            let job = f.spec.tag.job;
-            let ingest = f.spec.tag.kind == crate::flow::FlowKind::Ingest;
-            // Link byte accounting (per directed link).
-            for l in f.path.as_slice() {
-                self.topo.links_mut()[l.index()].carried += delta;
-            }
-            if ingest {
-                self.stats.record_ingest(delta);
-            } else {
-                self.stats.record_transfer(job, delta, cross, local);
-            }
-            if cross && !ingest {
-                if let Some((bucket, ref mut series)) = self.sampling {
-                    // Spread the transferred bytes across every bucket the
-                    // interval [now, now + dt) overlaps.
-                    let t0 = self.now.0;
-                    let t1 = t0 + dt.0;
-                    let first = (t0 / bucket) as usize;
-                    let last = (t1 / bucket) as usize;
-                    if series.len() <= last {
-                        series.resize(last + 1, 0.0);
-                    }
-                    for (b, slot) in series.iter_mut().enumerate().take(last + 1).skip(first) {
-                        let lo = (b as f64 * bucket).max(t0);
-                        let hi = ((b + 1) as f64 * bucket).min(t1);
-                        if hi > lo {
-                            *slot += delta.0 * (hi - lo) / dt.0;
-                        }
-                    }
-                }
-            }
+        match self.policy {
+            RatePolicy::FairShare => self.recompute_fair(),
+            RatePolicy::Varys => self.recompute_varys(),
         }
     }
 
@@ -1109,112 +810,6 @@ impl Fabric {
         });
     }
 
-    /// One completion step: advances the clock to `tc`, transferring bytes
-    /// and removing flows whose remaining volume is then negligible
-    /// (reported as completed at `tc`). Byte movement and harvesting each
-    /// visit every active flow, so they are fused into a single `retain`
-    /// pass (no per-removal O(n) shifts) — halving the scattered flow-table
-    /// reads per event. Per-flow transfer amounts use the same expressions
-    /// as [`Fabric::move_bytes`], the accounting totals are order-free
-    /// sums, and the ascending-FlowId scan order — and hence the completion
-    /// order — is identical to the old move-then-harvest pair of passes.
-    fn step_to_completion(&mut self, tc: SimTime, out: &mut Vec<CompletedFlow>) {
-        let dt = tc - self.now;
-        let move_dt = (dt.0 > 0.0).then_some(dt);
-        let before = out.len();
-        let local_rate = self.local_rate;
-        let mut vi = 0usize;
-        let mut active = std::mem::take(&mut self.active);
-        active.retain(|&id| {
-            let Some(f) = self.flows[id.index()].as_mut() else {
-                // Cancelled since the last recompute; drop silently. (A
-                // cancelled flow was never in the rate scratch either, so
-                // the cursor stays aligned.)
-                return false;
-            };
-            // Rates live in the recompute scratch (see `move_bytes`); the
-            // cursor must advance for every non-local flow even when no
-            // bytes move.
-            let rate = if f.path.is_empty() {
-                local_rate
-            } else {
-                let r = Bandwidth(self.scratch.rates[vi]);
-                vi += 1;
-                r
-            };
-            if let Some(dt) = move_dt {
-                let delta = (rate * dt).min(f.remaining);
-                if delta.0 > 0.0 {
-                    f.remaining = (f.remaining - delta).clamp_non_negative();
-                    let local = f.path.is_empty();
-                    let cross = f.cross_rack;
-                    let job = f.spec.tag.job;
-                    let ingest = f.spec.tag.kind == crate::flow::FlowKind::Ingest;
-                    // Link byte accounting (per directed link).
-                    for l in f.path.as_slice() {
-                        self.topo.links_mut()[l.index()].carried += delta;
-                    }
-                    if ingest {
-                        self.stats.record_ingest(delta);
-                    } else {
-                        self.stats.record_transfer(job, delta, cross, local);
-                    }
-                    if cross && !ingest {
-                        if let Some((bucket, ref mut series)) = self.sampling {
-                            // Spread the transferred bytes across every
-                            // bucket the interval [now, now + dt) overlaps.
-                            let t0 = self.now.0;
-                            let t1 = t0 + dt.0;
-                            let first = (t0 / bucket) as usize;
-                            let last = (t1 / bucket) as usize;
-                            if series.len() <= last {
-                                series.resize(last + 1, 0.0);
-                            }
-                            for (b, slot) in
-                                series.iter_mut().enumerate().take(last + 1).skip(first)
-                            {
-                                let lo = (b as f64 * bucket).max(t0);
-                                let hi = ((b + 1) as f64 * bucket).min(t1);
-                                if hi > lo {
-                                    *slot += delta.0 * (hi - lo) / dt.0;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if !self.flows[id.index()]
-                .as_ref()
-                .unwrap()
-                .remaining
-                .is_negligible()
-            {
-                return true;
-            }
-            self.emit_completion(id, tc, out);
-            false
-        });
-        self.active = active;
-        self.now = tc;
-        let now = tc;
-        if out.len() == before {
-            // We were called because next_completion fired, yet no flow hit
-            // zero — pure floating point drift. Force-complete the closest
-            // flow to guarantee progress. (`min_by` keeps the *last* minimal
-            // element, matching the previous implementation.)
-            if let Some(&id) = self.active.iter().min_by(|a, b| {
-                let fa = self.flows[a.index()].as_ref().unwrap().remaining.0;
-                let fb = self.flows[b.index()].as_ref().unwrap().remaining.0;
-                fa.total_cmp(&fb)
-            }) {
-                self.emit_completion(id, now, out);
-                self.active.retain(|&x| x != id);
-            }
-        }
-        self.stats.debug_validate();
-        self.mark_dirty(probe::ProbeCounter::RecomputeCompletion);
-    }
-
     /// Marks the rate table stale, attributing the *first* cause since
     /// the last recompute to a probe counter (observability only; with
     /// probes disabled this is exactly `self.dirty = true`).
@@ -1231,12 +826,12 @@ impl Fabric {
     /// Registers a just-started flow with the incremental state: local
     /// flows get their (constant) rate and deadline immediately; network
     /// flows join the pending set and dirty their endpoint links so the
-    /// next recompute folds them into the affected components.
+    /// next recompute folds them in.
     fn register_started(&mut self, id: FlowId) {
         let s = id.index();
         let now = self.now.0;
         let f = self.flows[s].as_ref().unwrap();
-        let rem = f.remaining.0;
+        let rem = f.spec.bytes.clamp_non_negative().0;
         let local = f.path.is_empty();
         let path = f.path;
         let inc = &mut self.inc;
@@ -1266,8 +861,7 @@ impl Fabric {
     /// Settles one flow's lazy byte accounting up to `up_to`: moves
     /// `rate · (up_to − epoch)` bytes (clamped to the remainder) into the
     /// link counters, [`FabricStats`], and the utilization sampler, then
-    /// advances the flow's epoch. Uses the same per-flow expressions as
-    /// the eager [`Fabric::move_bytes`], just over a longer interval.
+    /// advances the flow's epoch.
     fn materialize_flow(&mut self, slot: usize, up_to: f64) {
         let epoch = self.inc.epoch[slot];
         let dt = up_to - epoch;
@@ -1284,8 +878,9 @@ impl Fabric {
         let new_rem = (rem - delta).max(0.0);
         self.inc.rem[slot] = new_rem;
         let (path, cross, job, ingest, local) = {
-            let f = self.flows[slot].as_mut().unwrap();
-            f.remaining = Bytes(new_rem);
+            let f = self.flows[slot]
+                .as_ref()
+                .expect("materialized flows are alive");
             (
                 f.path,
                 f.cross_rack,
@@ -1352,76 +947,41 @@ impl Fabric {
         }
     }
 
-    /// The incremental advance loop: recompute the dirty components, pop
-    /// fresh completion deadlines up to `t`, settle each completed flow's
-    /// accounting, and mark its freed links dirty for the next round.
-    fn advance_collect_incremental(&mut self, t: SimTime, out: &mut Vec<CompletedFlow>) {
-        loop {
-            if self.dirty {
-                self.recompute_lazy();
-            }
-            match self.peek_fresh() {
-                Some(tc) if tc <= t.0 => {
-                    let (time, (slot, _gen)) = self.inc.queue.pop().unwrap();
-                    let tc = SimTime(time).max(self.now);
-                    self.now = tc;
-                    self.complete_incremental(slot as usize, tc, out);
-                    // Coflow mode: drain the *exact*-equal-time batch
-                    // before recomputing. Every such entry's remaining
-                    // hits zero at `time` under the current rates, so
-                    // completing them together is byte-identical to
-                    // interleaving recomputes (which would re-queue each
-                    // at the same instant) — and it restores the fused
-                    // batching the eager step has, instead of paying one
-                    // full MADD replay per same-time completion.
-                    if self.mode == Mode::CoflowIncremental {
-                        while self.peek_fresh() == Some(time) {
-                            let (_, (s2, _g2)) = self.inc.queue.pop().unwrap();
-                            self.complete_incremental(s2 as usize, tc, out);
-                        }
-                    }
-                }
-                _ => {
-                    self.now = t;
-                    return;
-                }
-            }
+    /// Drops a finished or cancelled flow from the incremental state: bumps
+    /// its generation (staling its calendar entry), counts it dead, seeds
+    /// the dirty set with the links it frees, and logs a Varys departure.
+    fn retire(&mut self, s: usize, path: &[LinkId], coflow: Option<CoflowId>) {
+        let inc = &mut self.inc;
+        if self.policy == RatePolicy::Varys && !path.is_empty() {
+            inc.pending_departed
+                .push((stable_coflow_key(coflow, s), s as u32));
         }
+        inc.gen[s] = inc.gen[s].wrapping_add(1);
+        inc.dead += 1;
+        inc.pending_links.extend_from_slice(path);
     }
 
     /// Completes one calendar-popped flow at `tc`: settles its lazy byte
     /// accounting over `[epoch, deadline)` (the solved deadline is exact,
     /// so the flow completes here unconditionally — the sub-byte residual
-    /// closed-form arithmetic may leave is dropped, as in eager mode),
-    /// records its departure, dirties its freed links, and emits the
-    /// completion.
-    fn complete_incremental(&mut self, s: usize, tc: SimTime, out: &mut Vec<CompletedFlow>) {
+    /// closed-form arithmetic may leave is dropped), records its departure,
+    /// dirties its freed links, and emits the completion.
+    fn complete(&mut self, s: usize, tc: SimTime, out: &mut Vec<CompletedFlow>) {
         self.materialize_flow(s, tc.0);
-        {
-            let f = self.flows[s].as_ref().unwrap();
-            let path = f.path;
-            let key = stable_coflow_key(f.spec.coflow, s);
-            let inc = &mut self.inc;
-            if self.mode == Mode::CoflowIncremental && !path.is_empty() {
-                inc.pending_departed.push((key, s as u32));
-            }
-            inc.gen[s] = inc.gen[s].wrapping_add(1);
-            inc.dead += 1;
-            for &l in path.as_slice() {
-                inc.pending_links.push(l);
-            }
-        }
+        let f = self.flows[s].as_ref().expect("calendar entries are fresh");
+        let (path, coflow) = (f.path, f.spec.coflow);
+        self.retire(s, path.as_slice(), coflow);
         self.emit_completion(FlowId(s as u64), tc, out);
         self.stats.debug_validate();
         self.mark_dirty(probe::ProbeCounter::RecomputeCompletion);
         self.maybe_purge_active();
     }
 
-    /// Incremental rate maintenance: dissolve only the components owning a
-    /// dirtied link, re-solve the affected flows on canonical compacted
+    /// Fair-sharing rate maintenance: dissolve only the components owning
+    /// a dirtied link, re-solve the affected flows on canonical compacted
     /// subproblems, and splice rates + deadlines back. Every other flow's
     /// rate, deadline, and queued calendar entry stay untouched.
-    fn recompute_incremental(&mut self) {
+    fn recompute_fair(&mut self) {
         let _probe = probe::span(probe::SpanKind::FabricRecompute);
         self.dirty = false;
         self.stats.recomputes += 1;
@@ -1552,8 +1112,7 @@ impl Fabric {
             let _mm = probe::span(probe::SpanKind::FabricMaxMin);
             let flows = &self.flows;
             let topo = &self.topo;
-            let allocator = &mut *self.allocator;
-            let alloc = &mut self.scratch.alloc;
+            let maxmin_ws = &mut self.scratch.alloc.maxmin;
             let inc = &mut self.inc;
             for nci in 0..inc.new_comps.len() {
                 let c = inc.new_comps[nci] as usize;
@@ -1582,8 +1141,6 @@ impl Fabric {
                 }
                 inc.sub_off.clear();
                 inc.sub_links.clear();
-                inc.sub_remaining.clear();
-                inc.sub_coflow.clear();
                 inc.sub_off.push(0);
                 let nmem = inc.comp_flows[c].len();
                 for mi in 0..nmem {
@@ -1593,22 +1150,17 @@ impl Fabric {
                         inc.sub_links.push(LinkId(inc.link_local[l.index()]));
                     }
                     inc.sub_off.push(inc.sub_links.len() as u32);
-                    inc.sub_remaining.push(inc.rem[s]);
-                    inc.sub_coflow.push(f.spec.coflow);
                 }
                 inc.sub_rates.clear();
                 inc.sub_rates.resize(nmem, 0.0);
-                alloc.maxmin.reset_rounds();
-                {
-                    let table = FlowTable {
-                        flow_off: &inc.sub_off,
-                        flow_links: &inc.sub_links,
-                        remaining: &inc.sub_remaining,
-                        coflow: &inc.sub_coflow,
-                    };
-                    allocator.allocate_component(&inc.sub_caps, &table, &mut inc.sub_rates, alloc);
-                }
-                rounds_total += alloc.maxmin.last_rounds();
+                maxmin::max_min_rates_csr(
+                    &inc.sub_caps,
+                    &inc.sub_off,
+                    &inc.sub_links,
+                    &mut inc.sub_rates,
+                    maxmin_ws,
+                );
+                rounds_total += maxmin_ws.last_rounds();
                 for mi in 0..nmem {
                     let s = inc.comp_flows[c][mi] as usize;
                     let rate = inc.sub_rates[mi];
@@ -1649,11 +1201,10 @@ impl Fabric {
         }
     }
 
-    /// Coflow-local rate maintenance: rebuild the CSR over the alive
-    /// network flows (O(alive) — cheap; the expense eager mode pays is
-    /// the O(alive·links) *solve*), hand the allocator the event delta,
-    /// and splice back exactly the rates whose bits changed. Unchanged
-    /// flows keep their rate, deadline, queued calendar entry, and lazy
+    /// Varys rate maintenance: rebuild the CSR over the alive network
+    /// flows (O(alive) — cheap next to the O(alive·links) *solve* a full
+    /// pass costs), hand the allocator the event delta, and splice back
+    /// exactly the rates whose bits changed. Unchanged flows keep their rate, deadline, queued calendar entry, and lazy
     /// byte accounting epoch.
     ///
     /// The CSR's `remaining` column carries the *frozen-at-admission*
@@ -1663,56 +1214,40 @@ impl Fabric {
     /// function of the alive set rather than of elapsed time. True byte
     /// accounting stays lazy in `inc.rem`/`inc.epoch`; completions are
     /// exact because deadlines are computed from the true remainder.
-    fn recompute_coflow(&mut self) {
+    fn recompute_varys(&mut self) {
         let _probe = probe::span(probe::SpanKind::FabricRecompute);
         self.dirty = false;
         self.stats.recomputes += 1;
         let now = self.now.0;
 
         // CSR build over `active`, purging dead slots in the same retain
-        // pass as eager mode (the walk is O(alive) either way). The
-        // `row_of` map is reset sparsely through the previous round's
-        // `csr_slots` so maintenance never touches retired slots.
+        // pass. The `row_of` map is reset sparsely through the previous
+        // table's `slots` so maintenance never touches retired slots.
         {
             let flows = &self.flows;
             let scratch = &mut self.scratch;
             let inc = &mut self.inc;
-            for i in 0..inc.csr_slots.len() {
-                inc.row_of[inc.csr_slots[i] as usize] = u32::MAX;
+            for &s in &scratch.slots {
+                inc.row_of[s as usize] = u32::MAX;
             }
             inc.row_of.resize(flows.len(), u32::MAX);
-            inc.csr_slots.clear();
-            scratch.flow_off.clear();
-            scratch.flow_links.clear();
-            scratch.remaining.clear();
-            scratch.coflow.clear();
-            scratch.view_ids.clear();
-            scratch.flow_off.push(0);
+            scratch.clear();
             self.active.retain(|&id| {
                 let Some(f) = flows[id.index()].as_ref() else {
                     return false;
                 };
                 if !f.path.is_empty() {
                     let s = id.index();
-                    scratch.flow_links.extend_from_slice(f.path.as_slice());
-                    scratch.flow_off.push(scratch.flow_links.len() as u32);
-                    scratch
-                        .remaining
-                        .push(f.spec.bytes.clamp_non_negative().0);
-                    scratch
-                        .coflow
-                        .push(Some(CoflowId(stable_coflow_key(f.spec.coflow, s))));
-                    scratch.view_ids.push(id);
-                    inc.row_of[s] = inc.csr_slots.len() as u32;
-                    inc.csr_slots.push(s as u32);
+                    inc.row_of[s] = scratch.slots.len() as u32;
+                    scratch.push_row(s, f);
                 }
                 true
             });
             inc.dead = 0;
             // Keep the departure log sized to the row high-water mark so
             // the first completions after a growth spurt don't allocate.
-            let add = inc
-                .csr_slots
+            let add = scratch
+                .slots
                 .len()
                 .saturating_sub(inc.pending_departed.len());
             inc.pending_departed.reserve(add);
@@ -1732,55 +1267,36 @@ impl Fabric {
 
         // Solve: the allocator sees the full table plus the delta and
         // decides whether the event admits a coflow-local pass.
-        let nrows = self.inc.csr_slots.len();
+        let nrows = self.scratch.slots.len();
         let outcome = {
             let _mm = probe::span(probe::SpanKind::FabricMaxMin);
-            let scratch = &mut self.scratch;
-            scratch.rates.clear();
-            scratch.rates.resize(nrows, 0.0);
-            let RecomputeScratch {
-                flow_off,
-                flow_links,
-                remaining,
-                coflow,
-                rates,
-                alloc,
-                ..
-            } = scratch;
-            let table = FlowTable {
-                flow_off,
-                flow_links,
-                remaining,
-                coflow,
-            };
+            self.scratch.rates.clear();
+            self.scratch.rates.resize(nrows, 0.0);
+            let (table, slots, rates, alloc) = self.scratch.split();
             let inc = &self.inc;
             let ctx = DirtyCtx {
-                slots: &inc.csr_slots,
+                slots,
                 row_of: &inc.row_of,
                 added: &inc.added,
                 departed: &inc.pending_departed,
                 dirty_links: &inc.pending_links,
                 caps_changed: inc.caps_dirty,
             };
-            self.allocator
-                .allocate_dirty(self.topo.links(), &table, rates, alloc, &ctx)
+            varys::allocate_dirty(self.topo.links(), &table, rates, alloc, &ctx)
         };
         self.inc.pending_departed.clear();
         self.inc.pending_links.clear();
         self.inc.caps_dirty = false;
         let (rounds, dirtied) = match outcome {
-            DirtyOutcome::Unsupported => {
-                self.stats.recomputes_full += 1;
-                probe::count(probe::ProbeCounter::RecomputeFullEager, 1);
-                (self.scratch.alloc.last_rounds(), nrows as u64)
-            }
             DirtyOutcome::Full { rounds } => {
                 self.stats.recomputes_full += 1;
-                self.stats.recomputes_full_boundary += 1;
                 probe::count(probe::ProbeCounter::RecomputeFullBoundary, 1);
                 (rounds, nrows as u64)
             }
-            DirtyOutcome::Incremental { dirty_flows, rounds } => {
+            DirtyOutcome::Incremental {
+                dirty_flows,
+                rounds,
+            } => {
                 self.stats.recomputes_incremental += 1;
                 probe::count(probe::ProbeCounter::RecomputeIncremental, 1);
                 (rounds, dirty_flows)
@@ -1795,7 +1311,7 @@ impl Fabric {
         // Splice: settle accounting and refresh deadline + calendar entry
         // for exactly the flows whose rate bits moved.
         for row in 0..nrows {
-            let s = self.inc.csr_slots[row] as usize;
+            let s = self.scratch.slots[row] as usize;
             let rate = self.scratch.rates[row];
             if rate.to_bits() == self.inc.rate[s].to_bits() {
                 continue;
@@ -1812,7 +1328,7 @@ impl Fabric {
         }
         // New flows whose solved rate equals the registration default
         // (0.0) never hit the splice above; zero-byte ones still complete
-        // *now* (matching the eager fold), so force their deadline in.
+        // *now*, so force their deadline in.
         for ai in 0..self.inc.added.len() {
             let s = self.inc.added[ai].1 as usize;
             let inc = &mut self.inc;
@@ -1826,14 +1342,15 @@ impl Fabric {
             }
         }
 
-        // Footprint + gauges, mirroring the memoryless path's bookkeeping.
+        // Footprint + gauges, mirroring the fair path's bookkeeping.
         let footprint = self.inc.footprint() + self.scratch.footprint();
         if footprint != self.scratch_footprint {
             self.scratch_footprint = footprint;
             self.stats.scratch_grows += 1;
             probe::count(probe::ProbeCounter::FabricScratchGrow, 1);
         }
-        let varys_fp = self.scratch.alloc.varys.footprint();
+        let alloc = &self.scratch.alloc;
+        let varys_fp = alloc.varys.footprint() + alloc.comp.footprint();
         if varys_fp > self.last_varys_footprint {
             probe::count(
                 probe::ProbeCounter::VarysScratchElems,
@@ -1852,198 +1369,42 @@ impl Fabric {
             queue.retain(|&(s, g)| flows[s as usize].is_some() && gens[s as usize] == g);
         }
         if self.oracle {
-            self.oracle_check_coflow();
+            self.oracle_check();
         }
     }
 
-    /// The coflow-mode shadow oracle: re-solves the *entire* CSR through
-    /// [`RateAllocator::allocate_from_scratch`] — canonical SEBF + MADD +
-    /// per-component backfill with no cached state, on the oracle's own
-    /// workspaces — and asserts per-flow rate bits match the spliced
-    /// table. Reads but never writes simulation state, stats, or the live
-    /// allocator cache, so arming it cannot change any observable result.
-    ///
-    /// Reuses the CSR left by the last [`Fabric::recompute_coflow`]: the
-    /// fabric is clean here (any flow/capacity event since that build
-    /// would have set `dirty` and forced a recompute first).
-    fn oracle_check_coflow(&mut self) {
-        if self.mode != Mode::CoflowIncremental {
-            return;
-        }
+    /// The shadow oracle: rebuilds the CSR of the alive network flows in
+    /// its own scratch (no `active` purge, no `dead` reset), re-solves it
+    /// through [`RatePolicy::allocate_from_scratch`], and asserts per-flow
+    /// rate bits match the incrementally maintained table. Reads but never
+    /// writes simulation state, stats, or the live allocator cache, so
+    /// arming it cannot change any observable result.
+    fn oracle_check(&mut self) {
         debug_assert!(!self.dirty, "oracle ran on a dirty fabric");
-        let scratch = &self.scratch;
-        let inc = &mut self.inc;
-        let orc = &mut inc.oracle;
-        let table = FlowTable {
-            flow_off: &scratch.flow_off,
-            flow_links: &scratch.flow_links,
-            remaining: &scratch.remaining,
-            coflow: &scratch.coflow,
-        };
-        let nrows = inc.csr_slots.len();
+        let orc = &mut self.oracle_scratch;
+        orc.clear();
+        for id in &self.active {
+            if let Some(f) = self.flows[id.index()].as_ref() {
+                if !f.path.is_empty() {
+                    orc.push_row(id.index(), f);
+                }
+            }
+        }
         orc.rates.clear();
-        orc.rates.resize(nrows, 0.0);
-        self.allocator.allocate_from_scratch(
-            self.topo.links(),
-            &table,
-            &mut orc.rates,
-            &mut orc.alloc,
-        );
-        for row in 0..nrows {
-            let s = inc.csr_slots[row] as usize;
-            let got = inc.rate[s];
-            let want = orc.rates[row];
+        orc.rates.resize(orc.slots.len(), 0.0);
+        let (table, slots, rates, alloc) = orc.split();
+        self.policy
+            .allocate_from_scratch(self.topo.links(), &table, rates, alloc);
+        for (&s, &want) in slots.iter().zip(rates.iter()) {
+            let got = self.inc.rate[s as usize];
             assert!(
                 got.to_bits() == want.to_bits(),
-                "coflow-incremental/full rate divergence on flow {s}: \
-                 incremental {got} ({:#x}) vs full {want} ({:#x})",
+                "{} incremental/from-scratch rate divergence on flow {s}: \
+                 incremental {got} ({:#x}) vs from-scratch {want} ({:#x})",
+                self.policy.name(),
                 got.to_bits(),
                 want.to_bits()
             );
-        }
-    }
-
-    /// The shadow oracle: re-derives every component of the alive flow set
-    /// from scratch, solves each on the same canonical compacted
-    /// subproblem the incremental path builds, and asserts per-flow rate
-    /// bits match the cached incremental table. Reads but never writes
-    /// simulation state, stats, or probe counters, and works out of its
-    /// own scratch — so arming it cannot change any observable result.
-    fn oracle_check(&mut self) {
-        if self.mode != Mode::Incremental {
-            return;
-        }
-        let flows = &self.flows;
-        let topo = &self.topo;
-        let allocator = &mut *self.allocator;
-        let inc = &mut self.inc;
-        let orc = &mut inc.oracle;
-        // Alive network flows, ascending (active is ascending by
-        // construction and `retain` preserves order).
-        orc.cand.clear();
-        for idx in 0..self.active.len() {
-            let s = self.active[idx].index();
-            if let Some(f) = flows.get(s).and_then(|x| x.as_ref()) {
-                if !f.path.is_empty() {
-                    orc.cand.push(s as u32);
-                }
-            }
-        }
-        let n = orc.cand.len();
-        orc.uf.clear();
-        orc.uf.extend(0..n as u32);
-        inc.round += 1;
-        let round = inc.round;
-        for i in 0..n {
-            let s = orc.cand[i] as usize;
-            let f = flows[s].as_ref().unwrap();
-            for &l in f.path.as_slice() {
-                let li = l.index();
-                if inc.link_stamp[li] != round {
-                    inc.link_stamp[li] = round;
-                    inc.link_first[li] = i as u32;
-                } else {
-                    let j = inc.link_first[li];
-                    union(&mut orc.uf, i as u32, j);
-                }
-            }
-        }
-        orc.root.clear();
-        orc.root.resize(n, NO_COMP);
-        orc.grp.clear();
-        let mut ngroups: u32 = 0;
-        for i in 0..n {
-            let r = find(&mut orc.uf, i as u32) as usize;
-            if orc.root[r] == NO_COMP {
-                orc.root[r] = ngroups;
-                ngroups += 1;
-            }
-            orc.grp.push(orc.root[r]);
-        }
-        // Counting sort by group (stable ⇒ members ascending per group,
-        // groups in first-seen = ascending-min-member order).
-        orc.off.clear();
-        orc.off.resize(ngroups as usize + 1, 0);
-        for i in 0..n {
-            orc.off[orc.grp[i] as usize + 1] += 1;
-        }
-        for g in 1..=ngroups as usize {
-            orc.off[g] += orc.off[g - 1];
-        }
-        orc.cursor.clear();
-        orc.cursor.extend_from_slice(&orc.off[..ngroups as usize]);
-        orc.members.clear();
-        orc.members.resize(n, 0);
-        for i in 0..n {
-            let g = orc.grp[i] as usize;
-            let pos = orc.cursor[g] as usize;
-            orc.cursor[g] += 1;
-            orc.members[pos] = orc.cand[i];
-        }
-        for g in 0..ngroups as usize {
-            let lo = orc.off[g] as usize;
-            let hi = orc.off[g + 1] as usize;
-            inc.round += 1;
-            let r2 = inc.round;
-            orc.links.clear();
-            for k in lo..hi {
-                let s = orc.members[k] as usize;
-                let f = flows[s].as_ref().unwrap();
-                for &l in f.path.as_slice() {
-                    let li = l.index();
-                    if inc.link_stamp[li] != r2 {
-                        inc.link_stamp[li] = r2;
-                        orc.links.push(l);
-                    }
-                }
-            }
-            orc.links.sort_unstable_by_key(|l| l.index());
-            orc.caps.clear();
-            for j in 0..orc.links.len() {
-                let l = orc.links[j];
-                inc.link_local[l.index()] = j as u32;
-                orc.caps
-                    .push(topo.links()[l.index()].effective_capacity().0);
-            }
-            orc.csr_off.clear();
-            orc.csr_links.clear();
-            orc.rem.clear();
-            orc.coflow.clear();
-            orc.csr_off.push(0);
-            for k in lo..hi {
-                let s = orc.members[k] as usize;
-                let f = flows[s].as_ref().unwrap();
-                for &l in f.path.as_slice() {
-                    orc.csr_links.push(LinkId(inc.link_local[l.index()]));
-                }
-                orc.csr_off.push(orc.csr_links.len() as u32);
-                orc.rem.push(inc.rem[s]);
-                orc.coflow.push(f.spec.coflow);
-            }
-            orc.rates.clear();
-            orc.rates.resize(hi - lo, 0.0);
-            orc.alloc.maxmin.reset_rounds();
-            {
-                let table = FlowTable {
-                    flow_off: &orc.csr_off,
-                    flow_links: &orc.csr_links,
-                    remaining: &orc.rem,
-                    coflow: &orc.coflow,
-                };
-                allocator.allocate_component(&orc.caps, &table, &mut orc.rates, &mut orc.alloc);
-            }
-            for k in lo..hi {
-                let s = orc.members[k] as usize;
-                let got = inc.rate[s];
-                let want = orc.rates[k - lo];
-                assert!(
-                    got.to_bits() == want.to_bits(),
-                    "incremental/full rate divergence on flow {s}: \
-                     incremental {got} ({:#x}) vs full {want} ({:#x})",
-                    got.to_bits(),
-                    want.to_bits()
-                );
-            }
         }
     }
 }
@@ -2051,14 +1412,13 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::FairShare;
     use crate::flow::{FlowKind, FlowTag};
     use corral_model::MachineId;
 
     fn fabric() -> Fabric {
         // tiny_test: 3 racks x 4 machines, 10G NICs, 4:1 oversub
         // => rack core links 10 Gbps (= 1.25 GB/s).
-        Fabric::new(ClusterConfig::tiny_test(), Box::new(FairShare))
+        Fabric::new(ClusterConfig::tiny_test(), RatePolicy::FairShare)
     }
 
     fn spec(src: u32, dst: u32, gb: f64) -> FlowSpec {
@@ -2321,18 +1681,16 @@ mod tests {
 
     #[test]
     fn varys_drives_the_coflow_incremental_path() {
-        use crate::varys::VarysSebf;
-        let mut f = Fabric::new(ClusterConfig::tiny_test(), Box::new(VarysSebf));
+        let mut f = Fabric::new(ClusterConfig::tiny_test(), RatePolicy::Varys);
         for i in 0..3 {
             f.start_flow(spec(i, 4 + i, 0.4));
         }
         f.recompute_full(); // armed mid-run oracle pass
         f.drain();
         let s = f.stats();
-        // First recompute is a cold-cache full (attributed to the
-        // boundary counter); completions then ride the coflow-local path.
-        assert!(s.recomputes_full_boundary >= 1, "{s:?}");
-        assert_eq!(s.recomputes_full, s.recomputes_full_boundary, "{s:?}");
+        // First recompute is a cold-cache full; completions then ride the
+        // coflow-local path.
+        assert!(s.recomputes_full >= 1, "{s:?}");
         assert!(s.recomputes_incremental > 0, "{s:?}");
         assert_eq!(
             s.recomputes,
@@ -2344,50 +1702,20 @@ mod tests {
 
     #[test]
     fn varys_background_change_forces_boundary_full() {
-        use crate::varys::VarysSebf;
-        let mut f = Fabric::new(ClusterConfig::tiny_test(), Box::new(VarysSebf));
+        let mut f = Fabric::new(ClusterConfig::tiny_test(), RatePolicy::Varys);
         for i in 0..4 {
             f.start_flow(spec(i, 4 + i, 0.6));
         }
         f.advance_to(SimTime::secs(0.1));
-        let before = f.stats().recomputes_full_boundary;
+        let before = f.stats().recomputes_full;
         f.set_rack_background(RackId(0), Bandwidth::gbps(4.0));
         f.drain();
-        assert!(f.stats().recomputes_full_boundary > before, "{:?}", f.stats());
-    }
-
-    #[test]
-    fn new_eager_forces_full_recomputes_with_identical_results() {
-        use crate::varys::VarysSebf;
-        let run = |eager: bool| {
-            let mut f = if eager {
-                Fabric::new_eager(ClusterConfig::tiny_test(), Box::new(VarysSebf))
-            } else {
-                Fabric::new(ClusterConfig::tiny_test(), Box::new(VarysSebf))
-            };
-            for i in 0..6 {
-                let mut sp = spec(i % 4, 4 + (i % 8), 0.3 + 0.07 * i as f64);
-                sp.coflow = Some(crate::flow::CoflowId((i % 2) as u64));
-                f.start_flow(sp);
-            }
-            let done = f
-                .drain()
-                .into_iter()
-                .map(|c| (c.id, c.finished.0.to_bits()))
-                .collect::<Vec<_>>();
-            (done, f.stats().recomputes_full, f.stats().recomputes_incremental)
-        };
-        let (done_e, full_e, inc_e) = run(true);
-        let (done_i, _full_i, inc_i) = run(false);
-        assert_eq!(done_e, done_i, "eager and coflow-incremental must agree");
-        assert!(full_e > 0 && inc_e == 0, "forced-eager ran eager");
-        assert!(inc_i > 0, "default mode ran incrementally");
+        assert!(f.stats().recomputes_full > before, "{:?}", f.stats());
     }
 
     #[test]
     fn varys_incremental_scratch_settles() {
-        use crate::varys::VarysSebf;
-        let mut f = Fabric::new(ClusterConfig::tiny_test(), Box::new(VarysSebf));
+        let mut f = Fabric::new(ClusterConfig::tiny_test(), RatePolicy::Varys);
         // All flows admitted up front: the first (cold-cache) recompute
         // sizes every buffer; the completion churn that follows must not
         // allocate again.

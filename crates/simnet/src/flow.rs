@@ -76,15 +76,14 @@ pub struct FlowSpec {
     pub coflow: Option<CoflowId>,
 }
 
-/// Internal per-flow state held by the fabric. Rates are *not* stored
-/// here: between recomputes the current rate of every active flow lives
-/// in the fabric's dense scratch array (aligned with `active` order), so
-/// rate writeback never has to re-walk this scattered table.
+/// Internal per-flow state held by the fabric. Rates and remaining bytes
+/// are *not* stored here: they live in the fabric's dense per-slot
+/// incremental arrays, so the hot path never re-walks this scattered
+/// table.
 #[derive(Debug, Clone)]
 pub(crate) struct FlowState {
     pub spec: FlowSpec,
     pub path: Path,
-    pub remaining: Bytes,
     /// True if the path crosses the rack/core links.
     pub cross_rack: bool,
 }

@@ -19,10 +19,10 @@
 //! Flows are *fluid*: each carries a remaining byte count and is assigned an
 //! instantaneous rate by a pluggable [`allocator`]:
 //!
-//! * [`allocator::FairShare`] — progressive-filling max-min fairness, the
+//! * [`RatePolicy::FairShare`] — progressive-filling max-min fairness, the
 //!   standard fluid proxy for long-lived TCP (what the paper calls
 //!   "a max-min fair bandwidth allocation mechanism to emulate TCP").
-//! * [`allocator::VarysSebf`] — Varys' Smallest Effective Bottleneck First
+//! * [`RatePolicy::Varys`] — Varys' Smallest Effective Bottleneck First
 //!   coflow ordering with MADD per-coflow rate assignment and work-conserving
 //!   max-min backfill.
 //!
@@ -67,11 +67,8 @@ pub mod stats;
 pub mod topology;
 pub mod varys;
 
-pub use allocator::{
-    AllocScratch, DirtyCtx, DirtyOutcome, FairShare, FlowTable, RateAllocator,
-    ReferenceFairShare, VarysSebf,
-};
-pub use engine::{CalendarQueue, EventQueue, HeapEventQueue};
+pub use allocator::{AllocScratch, FlowTable, RatePolicy};
+pub use engine::{CalendarQueue, EventQueue};
 pub use fabric::{CompletedFlow, Fabric};
 pub use flow::{CoflowId, FlowKind, FlowSpec, FlowTag};
 pub use link::{LinkClass, LinkId};

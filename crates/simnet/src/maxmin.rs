@@ -54,13 +54,6 @@ impl MaxMinScratch {
         self.rounds
     }
 
-    /// Zeroes the round counter. Callers that dispatch to kernels which
-    /// may not touch the scratch (the reference path) reset first so
-    /// `last_rounds` never reports a stale previous solve.
-    pub fn reset_rounds(&mut self) {
-        self.rounds = 0;
-    }
-
     /// Summed capacity of all retained buffers, in elements. Constant
     /// across calls once the workspace has warmed up; a change means a
     /// reallocation happened.
@@ -75,15 +68,34 @@ impl MaxMinScratch {
     }
 }
 
-/// Allocation-free variant of [`max_min_rates_into`] over a flattened flow
-/// table: flow `f`'s path is `flow_links[flow_off[f]..flow_off[f + 1]]`.
+/// Computes max-min fair rates over a flattened flow table: flow `f`'s
+/// path is `flow_links[flow_off[f]..flow_off[f + 1]]`.
 ///
-/// Produces bit-identical rates to the reference implementation (asserted
-/// by the randomized property test below): the progressive-filling rounds
-/// visit links and freeze flows in exactly the same order, with the same
-/// floating-point operation sequence — only the membership bookkeeping
-/// changed from per-link `Vec<Vec<u32>>` lists (allocated and cloned per
-/// call) to one retained CSR built with two passes over the flow table.
+/// * `capacity[l]` — available capacity of link `l` (bytes/sec); must be
+///   non-negative (zero-capacity links pin their flows to rate 0).
+/// * A flow with an empty path is unconstrained and gets rate
+///   `f64::INFINITY`; callers are expected to clamp (the fabric handles
+///   machine-local flows separately).
+///
+/// `rates` has one entry per flow and is fully overwritten. Per-link
+/// membership lives in one retained CSR built with two passes over the
+/// flow table, so a warmed-up `ws` makes the call allocation-free. The
+/// unit tests check the rates bit for bit against a textbook
+/// `Vec<Vec<u32>>` implementation kept in the test module.
+///
+/// ```
+/// use corral_simnet::maxmin::{max_min_rates_csr, MaxMinScratch};
+/// use corral_simnet::LinkId;
+///
+/// // Two flows share link 0 (cap 10); one continues over link 1 (cap 3).
+/// let caps = [10.0, 3.0];
+/// let flow_off = [0, 2, 3];
+/// let flow_links = [LinkId(0), LinkId(1), LinkId(0)];
+/// let mut rates = [0.0; 2];
+/// max_min_rates_csr(&caps, &flow_off, &flow_links, &mut rates, &mut MaxMinScratch::new());
+/// assert!((rates[0] - 3.0).abs() < 1e-9);  // bottlenecked by link 1
+/// assert!((rates[1] - 7.0).abs() < 1e-9);  // takes the rest of link 0
+/// ```
 pub fn max_min_rates_csr(
     capacity: &[f64],
     flow_off: &[u32],
@@ -228,140 +240,175 @@ pub fn max_min_rates_csr(
     }
 }
 
-/// Computes max-min fair rates.
-///
-/// * `capacity[l]` — available capacity of link `l` (bytes/sec); must be
-///   non-negative (zero-capacity links pin their flows to rate 0).
-/// * `paths[f]` — the directed links flow `f` traverses. A flow with an
-///   empty path is unconstrained and gets rate `f64::INFINITY`; callers are
-///   expected to clamp (the fabric handles machine-local flows separately).
-///
-/// Returns one rate per flow, in `paths` order.
-///
-/// ```
-/// use corral_simnet::maxmin::max_min_rates;
-/// use corral_simnet::LinkId;
-///
-/// // Two flows share link 0 (cap 10); one continues over link 1 (cap 3).
-/// let caps = [10.0, 3.0];
-/// let p0 = [LinkId(0), LinkId(1)];
-/// let p1 = [LinkId(0)];
-/// let rates = max_min_rates(&caps, &[&p0, &p1]);
-/// assert!((rates[0] - 3.0).abs() < 1e-9);  // bottlenecked by link 1
-/// assert!((rates[1] - 7.0).abs() < 1e-9);  // takes the rest of link 0
-/// ```
-pub fn max_min_rates(capacity: &[f64], paths: &[&[LinkId]]) -> Vec<f64> {
-    let mut rates = vec![0.0; paths.len()];
-    max_min_rates_into(capacity, paths, &mut rates);
-    rates
+/// Reusable workspace for the canonical per-component solve
+/// ([`max_min_rates_by_component`]): the link union-find, the
+/// `(component, row)` grouping, and one compacted subproblem at a time.
+#[derive(Debug, Default)]
+pub(crate) struct ComponentScratch {
+    /// Union-find parent per link (min-root) for the component split.
+    uf: Vec<u32>,
+    /// `(component root, row)` pairs, sorted so runs are components.
+    pub(crate) comp_rows: Vec<(u32, u32)>,
+    /// One component's links, sorted ascending (compact id = rank).
+    sub_link_ids: Vec<u32>,
+    /// Capacities of `sub_link_ids`, compact order.
+    sub_caps: Vec<f64>,
+    /// Compact CSR offsets for the component's rows.
+    sub_off: Vec<u32>,
+    /// Compact CSR link ids.
+    sub_links: Vec<LinkId>,
+    /// Solver output per component row.
+    sub_rates: Vec<f64>,
 }
 
-/// Allocation-reusing variant of [`max_min_rates`]; `rates` must have one
-/// entry per flow and is fully overwritten.
-///
-/// This is the *reference* implementation: it allocates per-link membership
-/// `Vec`s on every call and clones them on every freeze round. The fabric's
-/// hot path uses [`max_min_rates_csr`] instead; this version is retained as
-/// the oracle the randomized property test (and the `fabricbench`
-/// before/after measurement via `ReferenceFairShare`) compares against.
-pub fn max_min_rates_into(capacity: &[f64], paths: &[&[LinkId]], rates: &mut [f64]) {
-    assert_eq!(rates.len(), paths.len());
-    let nl = capacity.len();
-    let nf = paths.len();
-
-    // Per-link membership lists and unfrozen counts.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); nl];
-    let mut unfrozen_on: Vec<u32> = vec![0; nl];
-    let mut frozen_load: Vec<f64> = vec![0.0; nl];
-    let mut frozen: Vec<bool> = vec![false; nf];
-    let mut n_unfrozen = 0usize;
-
-    for (f, path) in paths.iter().enumerate() {
-        if path.is_empty() {
-            rates[f] = f64::INFINITY;
-            frozen[f] = true;
-            continue;
-        }
-        n_unfrozen += 1;
-        for l in path.iter() {
-            debug_assert!(l.index() < nl, "path references unknown link");
-            members[l.index()].push(f as u32);
-            unfrozen_on[l.index()] += 1;
-        }
+impl ComponentScratch {
+    /// Summed capacity of all retained buffers, in elements.
+    pub(crate) fn footprint(&self) -> usize {
+        self.uf.capacity()
+            + self.comp_rows.capacity()
+            + self.sub_link_ids.capacity()
+            + self.sub_caps.capacity()
+            + self.sub_off.capacity()
+            + self.sub_links.capacity()
+            + self.sub_rates.capacity()
     }
 
-    // Only links that actually carry unfrozen flows participate; on large
-    // topologies most links are idle and scanning them every round would
-    // dominate the cost.
-    let mut active: Vec<u32> = (0..nl as u32)
-        .filter(|&l| unfrozen_on[l as usize] > 0)
-        .collect();
+    /// Pre-sizes the split buffers for `rows` flows over `links` links.
+    pub(crate) fn reserve(&mut self, rows: usize, links: usize) {
+        self.comp_rows.clear();
+        self.comp_rows.reserve(rows);
+        self.uf.clear();
+        self.uf.reserve(links);
+    }
 
-    let mut level = 0.0_f64;
-    while n_unfrozen > 0 {
-        active.retain(|&l| unfrozen_on[l as usize] > 0);
-        // The next saturation point: the smallest level at which some link
-        // with unfrozen flows runs out of headroom.
-        let mut best = f64::INFINITY;
-        for &l in &active {
-            let l = l as usize;
-            let headroom = capacity[l] - frozen_load[l] - unfrozen_on[l] as f64 * level;
-            let delta = (headroom / unfrozen_on[l] as f64).max(0.0);
-            if delta < best {
-                best = delta;
-            }
-        }
-        if !best.is_finite() {
-            // No constraining link (cannot happen with non-empty paths, but
-            // guard against inconsistent input).
-            break;
-        }
-        level += best;
-
-        // Freeze every unfrozen flow crossing a link that is now saturated.
-        let tol = EPS * level.max(1.0);
-        let mut froze_any = false;
-        for &l in &active {
-            let l = l as usize;
-            if unfrozen_on[l] == 0 {
+    /// Unions the links of every flow's path (union by min root, so the
+    /// representative of each component is its smallest link id and does
+    /// not depend on union order). Afterwards [`root`](Self::root) names
+    /// the component of any link.
+    pub(crate) fn link_components(&mut self, nl: usize, flow_off: &[u32], flow_links: &[LinkId]) {
+        self.uf.clear();
+        self.uf.extend(0..nl as u32);
+        for f in 0..flow_off.len().saturating_sub(1) {
+            let path = &flow_links[flow_off[f] as usize..flow_off[f + 1] as usize];
+            let Some((first, rest)) = path.split_first() else {
                 continue;
-            }
-            let headroom = capacity[l] - frozen_load[l] - unfrozen_on[l] as f64 * level;
-            if headroom <= tol {
-                // This link is saturated: freeze its unfrozen flows.
-                // Iterate over a copy of the membership list because
-                // freezing mutates shared per-link counters.
-                let flows_here: Vec<u32> = members[l].clone();
-                for f in flows_here {
-                    let f = f as usize;
-                    if frozen[f] {
-                        continue;
-                    }
-                    frozen[f] = true;
-                    froze_any = true;
-                    n_unfrozen -= 1;
-                    rates[f] = level;
-                    for ll in paths[f].iter() {
-                        let ll = ll.index();
-                        unfrozen_on[ll] -= 1;
-                        frozen_load[ll] += level;
-                    }
-                }
-            }
-        }
-        if !froze_any {
-            // Numerical stall guard: freeze everything at the current level.
-            // This can only trigger under pathological capacities (e.g. all
-            // remaining links have effectively infinite headroom).
-            for f in 0..nf {
-                if !frozen[f] {
-                    frozen[f] = true;
-                    rates[f] = level;
-                    n_unfrozen -= 1;
+            };
+            for l in rest {
+                let (ra, rb) = (self.root(first.0), self.root(l.0));
+                if ra < rb {
+                    self.uf[rb as usize] = ra;
+                } else if rb < ra {
+                    self.uf[ra as usize] = rb;
                 }
             }
         }
     }
+
+    /// The component root of link `l` (find with path halving).
+    #[inline]
+    pub(crate) fn root(&mut self, mut l: u32) -> u32 {
+        let uf = &mut self.uf;
+        while uf[l as usize] != l {
+            uf[l as usize] = uf[uf[l as usize] as usize];
+            l = uf[l as usize];
+        }
+        l
+    }
+
+    /// Solves each component run of `comp_rows` on its canonical
+    /// compacted subproblem — links deduped and sorted ascending, compact
+    /// ids by rank, rows ascending — and writes each row's rate into
+    /// `rates`. Rows not listed in `comp_rows` are left untouched.
+    /// Returns the summed freeze rounds.
+    pub(crate) fn solve(
+        &mut self,
+        capacity: &[f64],
+        flow_off: &[u32],
+        flow_links: &[LinkId],
+        rates: &mut [f64],
+        ws: &mut MaxMinScratch,
+    ) -> u64 {
+        let ComponentScratch {
+            comp_rows,
+            sub_link_ids,
+            sub_caps,
+            sub_off,
+            sub_links,
+            sub_rates,
+            ..
+        } = self;
+        let path = |row: u32| {
+            let f = row as usize;
+            &flow_links[flow_off[f] as usize..flow_off[f + 1] as usize]
+        };
+        let mut rounds = 0u64;
+        let mut s = 0usize;
+        while s < comp_rows.len() {
+            let root = comp_rows[s].0;
+            let mut e = s + 1;
+            while e < comp_rows.len() && comp_rows[e].0 == root {
+                e += 1;
+            }
+            sub_link_ids.clear();
+            for &(_, row) in &comp_rows[s..e] {
+                sub_link_ids.extend(path(row).iter().map(|l| l.0));
+            }
+            sub_link_ids.sort_unstable();
+            sub_link_ids.dedup();
+            sub_caps.clear();
+            sub_caps.extend(sub_link_ids.iter().map(|&l| capacity[l as usize]));
+            sub_off.clear();
+            sub_off.push(0);
+            sub_links.clear();
+            for &(_, row) in &comp_rows[s..e] {
+                for l in path(row) {
+                    let rank = sub_link_ids
+                        .binary_search(&l.0)
+                        .expect("component link missing from its own dedup");
+                    sub_links.push(LinkId(rank as u32));
+                }
+                sub_off.push(sub_links.len() as u32);
+            }
+            sub_rates.clear();
+            sub_rates.resize(e - s, 0.0);
+            max_min_rates_csr(sub_caps, sub_off, sub_links, sub_rates, ws);
+            rounds += ws.last_rounds();
+            for (k, &(_, row)) in comp_rows[s..e].iter().enumerate() {
+                rates[row as usize] = sub_rates[k];
+            }
+            s = e;
+        }
+        rounds
+    }
+}
+
+/// Max-min fair rates solved per connected component of the link↔flow
+/// graph, each on its canonical compacted subproblem (see
+/// [`ComponentScratch`]). A whole-graph water-fill is *not* bit-identical
+/// to this (its global level accumulator orders float ops across
+/// components), so this decomposition is the from-scratch definition the
+/// fabric's incremental paths are checked against: fair sharing runs it
+/// over the effective capacities, Varys' backfill over the post-MADD
+/// residual. Flows with empty paths are left untouched in `rates`.
+/// Returns the summed freeze rounds.
+pub(crate) fn max_min_rates_by_component(
+    capacity: &[f64],
+    flow_off: &[u32],
+    flow_links: &[LinkId],
+    rates: &mut [f64],
+    cs: &mut ComponentScratch,
+    ws: &mut MaxMinScratch,
+) -> u64 {
+    cs.link_components(capacity.len(), flow_off, flow_links);
+    cs.comp_rows.clear();
+    for f in 0..rates.len() {
+        if let Some(first) = flow_links[flow_off[f] as usize..flow_off[f + 1] as usize].first() {
+            let root = cs.root(first.0);
+            cs.comp_rows.push((root, f as u32));
+        }
+    }
+    cs.comp_rows.sort_unstable();
+    cs.solve(capacity, flow_off, flow_links, rates, ws)
 }
 
 /// Returns the load each link carries under `rates` — useful for feasibility
@@ -381,6 +428,127 @@ pub fn link_loads(n_links: usize, paths: &[&[LinkId]], rates: &[f64]) -> Vec<f64
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Computes max-min fair rates (reference implementation).
+    ///
+    /// * `capacity[l]` — available capacity of link `l` (bytes/sec); must be
+    ///   non-negative (zero-capacity links pin their flows to rate 0).
+    /// * `paths[f]` — the directed links flow `f` traverses. A flow with an
+    ///   empty path is unconstrained and gets rate `f64::INFINITY`; callers are
+    ///   expected to clamp (the fabric handles machine-local flows separately).
+    ///
+    /// Returns one rate per flow, in `paths` order.
+    fn max_min_rates(capacity: &[f64], paths: &[&[LinkId]]) -> Vec<f64> {
+        let mut rates = vec![0.0; paths.len()];
+        max_min_rates_into(capacity, paths, &mut rates);
+        rates
+    }
+
+    /// Allocation-reusing variant of [`max_min_rates`]; `rates` must have one
+    /// entry per flow and is fully overwritten.
+    ///
+    /// The textbook reference: it allocates per-link membership `Vec`s on
+    /// every call and clones them on every freeze round. Kept here as the
+    /// oracle [`max_min_rates_csr`] must match bit for bit.
+    fn max_min_rates_into(capacity: &[f64], paths: &[&[LinkId]], rates: &mut [f64]) {
+        assert_eq!(rates.len(), paths.len());
+        let nl = capacity.len();
+        let nf = paths.len();
+
+        // Per-link membership lists and unfrozen counts.
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); nl];
+        let mut unfrozen_on: Vec<u32> = vec![0; nl];
+        let mut frozen_load: Vec<f64> = vec![0.0; nl];
+        let mut frozen: Vec<bool> = vec![false; nf];
+        let mut n_unfrozen = 0usize;
+
+        for (f, path) in paths.iter().enumerate() {
+            if path.is_empty() {
+                rates[f] = f64::INFINITY;
+                frozen[f] = true;
+                continue;
+            }
+            n_unfrozen += 1;
+            for l in path.iter() {
+                debug_assert!(l.index() < nl, "path references unknown link");
+                members[l.index()].push(f as u32);
+                unfrozen_on[l.index()] += 1;
+            }
+        }
+
+        // Only links that actually carry unfrozen flows participate; on large
+        // topologies most links are idle and scanning them every round would
+        // dominate the cost.
+        let mut active: Vec<u32> = (0..nl as u32)
+            .filter(|&l| unfrozen_on[l as usize] > 0)
+            .collect();
+
+        let mut level = 0.0_f64;
+        while n_unfrozen > 0 {
+            active.retain(|&l| unfrozen_on[l as usize] > 0);
+            // The next saturation point: the smallest level at which some link
+            // with unfrozen flows runs out of headroom.
+            let mut best = f64::INFINITY;
+            for &l in &active {
+                let l = l as usize;
+                let headroom = capacity[l] - frozen_load[l] - unfrozen_on[l] as f64 * level;
+                let delta = (headroom / unfrozen_on[l] as f64).max(0.0);
+                if delta < best {
+                    best = delta;
+                }
+            }
+            if !best.is_finite() {
+                // No constraining link (cannot happen with non-empty paths, but
+                // guard against inconsistent input).
+                break;
+            }
+            level += best;
+
+            // Freeze every unfrozen flow crossing a link that is now saturated.
+            let tol = EPS * level.max(1.0);
+            let mut froze_any = false;
+            for &l in &active {
+                let l = l as usize;
+                if unfrozen_on[l] == 0 {
+                    continue;
+                }
+                let headroom = capacity[l] - frozen_load[l] - unfrozen_on[l] as f64 * level;
+                if headroom <= tol {
+                    // This link is saturated: freeze its unfrozen flows.
+                    // Iterate over a copy of the membership list because
+                    // freezing mutates shared per-link counters.
+                    let flows_here: Vec<u32> = members[l].clone();
+                    for f in flows_here {
+                        let f = f as usize;
+                        if frozen[f] {
+                            continue;
+                        }
+                        frozen[f] = true;
+                        froze_any = true;
+                        n_unfrozen -= 1;
+                        rates[f] = level;
+                        for ll in paths[f].iter() {
+                            let ll = ll.index();
+                            unfrozen_on[ll] -= 1;
+                            frozen_load[ll] += level;
+                        }
+                    }
+                }
+            }
+            if !froze_any {
+                // Numerical stall guard: freeze everything at the current level.
+                // This can only trigger under pathological capacities (e.g. all
+                // remaining links have effectively infinite headroom).
+                for f in 0..nf {
+                    if !frozen[f] {
+                        frozen[f] = true;
+                        rates[f] = level;
+                        n_unfrozen -= 1;
+                    }
+                }
+            }
+        }
+    }
 
     fn ids(v: &[u32]) -> Vec<LinkId> {
         v.iter().map(|&i| LinkId(i)).collect()
@@ -581,5 +749,31 @@ mod tests {
                 assert!(has_bottleneck, "flow {f} lacks a bottleneck link");
             }
         }
+    }
+
+    #[test]
+    fn by_component_solves_each_component_on_its_compacted_subproblem() {
+        // Two components — {links 0, 2} and {links 1, 3} — interleaved in
+        // flow order, plus an empty-path flow the solve must not touch.
+        let caps = [10.0, 4.0, 3.0, 9.0];
+        let flow_off = [0, 2, 3, 3, 5, 6];
+        let flow_links = ids(&[0, 2, 1, 1, 3, 0]);
+        let mut rates = [-1.0; 5];
+        let mut cs = ComponentScratch::default();
+        let mut ws = MaxMinScratch::new();
+        let rounds =
+            max_min_rates_by_component(&caps, &flow_off, &flow_links, &mut rates, &mut cs, &mut ws);
+        assert!(rounds >= 2, "one solve per component");
+        assert_eq!(rates[2], -1.0, "empty-path flow left untouched");
+        // Each component alone, compacted by link rank, via the CSR kernel.
+        let mut a = [0.0; 2];
+        max_min_rates_csr(&[10.0, 3.0], &[0, 2, 3], &ids(&[0, 1, 0]), &mut a, &mut ws);
+        let mut b = [0.0; 2];
+        max_min_rates_csr(&[4.0, 9.0], &[0, 1, 3], &ids(&[0, 0, 1]), &mut b, &mut ws);
+        assert_rates_identical(
+            &[a[0], b[0], b[1], a[1]],
+            &[rates[0], rates[1], rates[3], rates[4]],
+            2001,
+        );
     }
 }

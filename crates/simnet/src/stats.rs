@@ -32,28 +32,22 @@ pub struct FabricStats {
     pub flows_completed: u64,
     /// Number of flows started.
     pub flows_started: u64,
-    /// Number of full rate recomputations (allocator invocations).
+    /// Number of rate recomputations (allocator invocations).
     pub recomputes: u64,
     /// Cumulative progressive-filling freeze rounds across all recomputes
-    /// (only the CSR max-min path reports rounds; the test-only reference
-    /// path leaves this at zero).
+    /// (Varys counts its backfill solves).
     pub maxmin_rounds: u64,
     /// Number of recomputes on which any scratch buffer (re)allocated.
     /// Flat after warm-up ⇒ the steady-state hot path is allocation-free.
     pub scratch_grows: u64,
     /// Recomputes served by the incremental path (only dirty bottleneck
-    /// components re-solved). `recomputes` stays the total across both
-    /// paths.
+    /// components re-solved). `recomputes` is the sum of this and
+    /// `recomputes_full`.
     pub recomputes_incremental: u64,
-    /// Recomputes served by a full solve. For eager allocators every
-    /// recompute lands here; for the coflow-incremental path this counts
-    /// the degenerate events where the dirtied priority boundary forced
-    /// a full pass (also tallied in `recomputes_full_boundary`).
+    /// Recomputes served by a full solve: on the Varys path, the events
+    /// where a capacity change or a cold cache forced a full pass. Always
+    /// zero under fair sharing.
     pub recomputes_full: u64,
-    /// Subset of `recomputes_full` forced by a coflow-local dirty
-    /// boundary covering the whole order (capacity change or cold
-    /// cache) rather than by the allocator lacking an incremental form.
-    pub recomputes_full_boundary: u64,
     /// Cumulative dirty-set size: candidate flows re-solved across all
     /// incremental recomputes (divide by `recomputes_incremental` for
     /// the mean dirty-set size).

@@ -21,18 +21,14 @@
 //! makes the policy total. (Real Varys only manages shuffle-like transfers;
 //! in our simulations every job transfer carries a coflow id.)
 
-use crate::allocator::{AllocScratch, DirtyCtx, DirtyOutcome, FlowTable, FlowView, RateAllocator};
+use crate::allocator::{AllocScratch, DirtyCtx, DirtyOutcome, FlowTable};
 use crate::flow::CoflowId;
-use crate::link::{Link, LinkId};
-use crate::maxmin::{self, MaxMinScratch};
-use corral_model::Bandwidth;
-use std::collections::BTreeMap;
+use crate::link::Link;
+use crate::maxmin;
 
-/// Reusable buffers for the allocation-free [`VarysSebf::allocate_table`]
-/// path. The `BTreeMap` grouping of the reference implementation is
-/// replaced by a stable sort of `(coflow, flow)` pairs: runs of equal keys
-/// are the groups, visited in ascending-key order with members in
-/// ascending-flow order — exactly the `BTreeMap` iteration order.
+/// Reusable buffers for the Varys solves. Coflows are grouped by a stable
+/// sort of `(coflow, flow)` pairs: runs of equal keys are the groups,
+/// visited in ascending-key order with members in ascending-flow order.
 #[derive(Debug, Default)]
 pub struct VarysScratch {
     /// `(group key, flow index)` pairs, stably sorted by key.
@@ -56,30 +52,18 @@ pub struct VarysScratch {
     /// Per-row backfill carried over from the previous call (`NAN` when
     /// the row had no previous value; only clean components read it).
     carry: Vec<f64>,
-    /// Union-find parent per link (min-root) for the component split.
-    uf: Vec<u32>,
     /// Per-link dirty mark for the current call.
     link_dirty: Vec<bool>,
     /// Per-component (indexed by min-root link) dirty mark.
     comp_dirty: Vec<bool>,
-    /// `(component root, row)` pairs, sorted so runs are components.
-    comp_rows: Vec<(u32, u32)>,
-    /// Canonical compacted-subproblem buffers: component links sorted
-    /// ascending (compact id = rank), their residual capacities, and the
-    /// per-component CSR handed to the max-min kernel.
-    sub_link_ids: Vec<u32>,
-    sub_caps: Vec<f64>,
-    sub_off: Vec<u32>,
-    sub_links: Vec<LinkId>,
-    sub_rates: Vec<f64>,
     /// `(key, Γ, handle)` staging list for directory rebuilds.
     dir_tmp: Vec<(u64, f64, u32)>,
 }
 
 impl VarysScratch {
     /// Total reserved capacity across the buffers, in elements (part of
-    /// [`AllocScratch::footprint`], and surfaced as the
-    /// `fabric.varys_scratch_elems` probe gauge).
+    /// [`AllocScratch::footprint`]; with the component scratch it feeds
+    /// the `fabric.varys_scratch_elems` probe gauge).
     pub fn footprint(&self) -> usize {
         self.keyed.capacity()
             + self.link_bytes.capacity()
@@ -89,21 +73,14 @@ impl VarysScratch {
             + self.extra.capacity()
             + self.dirty_keys.capacity()
             + self.carry.capacity()
-            + self.uf.capacity()
             + self.link_dirty.capacity()
             + self.comp_dirty.capacity()
-            + self.comp_rows.capacity()
-            + self.sub_link_ids.capacity()
-            + self.sub_caps.capacity()
-            + self.sub_off.capacity()
-            + self.sub_links.capacity()
-            + self.sub_rates.capacity()
             + self.dir_tmp.capacity()
             + self.inc.footprint()
     }
 }
 
-/// Cache persisted across [`VarysSebf::allocate_dirty`] calls: the SEBF
+/// Cache persisted across [`allocate_dirty`] calls: the SEBF
 /// directory (group key → Γ + member list), the maintained `(Γ, key)`
 /// order, and the previous call's backfill/residual for clean-component
 /// splicing. Member lists hold fabric flow *slots* (stable across calls),
@@ -111,7 +88,7 @@ impl VarysScratch {
 #[derive(Debug, Default)]
 struct VarysIncCache {
     /// True once a full build has populated the cache; cleared by
-    /// [`VarysSebf::allocate_from_scratch`] (the oracle never caches).
+    /// [`allocate_from_scratch`] (the oracle never caches).
     valid: bool,
     /// Sorted group keys (parallel to `handles`; a key's current Γ
     /// lives in its `order` entry).
@@ -161,10 +138,6 @@ impl VarysIncCache {
     }
 }
 
-/// The Varys SEBF+MADD allocator.
-#[derive(Debug, Default, Clone)]
-pub struct VarysSebf;
-
 /// Singleton-coflow key for a coflow-less flow: disjoint id space via the
 /// high bit, keyed by flow index.
 #[inline]
@@ -172,318 +145,49 @@ fn group_key(coflow: Option<CoflowId>, flow: usize) -> CoflowId {
     coflow.unwrap_or(CoflowId(1 << 63 | flow as u64))
 }
 
-impl RateAllocator for VarysSebf {
-    fn name(&self) -> &'static str {
-        "varys-sebf"
-    }
-
-    fn allocate(&mut self, links: &[Link], flows: &[FlowView<'_>], rates: &mut [Bandwidth]) {
-        let nl = links.len();
-        let caps: Vec<f64> = links.iter().map(|l| l.effective_capacity().0).collect();
-
-        // Group flows into coflows. BTreeMap gives deterministic order;
-        // coflow-less flows become singletons keyed by their flow index
-        // (disjoint id space via the high bit).
-        let mut groups: BTreeMap<CoflowId, Vec<usize>> = BTreeMap::new();
-        for (i, f) in flows.iter().enumerate() {
-            groups.entry(group_key(f.coflow, i)).or_default().push(i);
-        }
-
-        // Per-link byte scratch with explicit touched-link tracking: only
-        // the links a coflow actually crosses are visited (scanning all
-        // links per coflow is quadratic on large topologies).
-        let mut link_bytes = vec![0.0_f64; nl];
-        let mut touched: Vec<u32> = Vec::with_capacity(64);
-        let fill = |link_bytes: &mut Vec<f64>, touched: &mut Vec<u32>, members: &[usize]| {
-            for &t in touched.iter() {
-                link_bytes[t as usize] = 0.0;
-            }
-            touched.clear();
-            for &fi in members {
-                for l in flows[fi].path {
-                    let idx = l.index();
-                    if link_bytes[idx] == 0.0 {
-                        touched.push(idx as u32);
-                    }
-                    link_bytes[idx] += flows[fi].remaining.0;
-                }
-            }
-        };
-
-        // Effective bottleneck Γ_c against full capacities.
-        let mut order: Vec<(f64, CoflowId)> = Vec::with_capacity(groups.len());
-        for (&cid, members) in &groups {
-            fill(&mut link_bytes, &mut touched, members);
-            let gamma = touched
-                .iter()
-                .map(|&t| {
-                    let t = t as usize;
-                    if caps[t] > 0.0 {
-                        link_bytes[t] / caps[t]
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(0.0_f64, f64::max);
-            order.push((gamma, cid));
-        }
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        // MADD in SEBF order against residual capacities.
-        let mut residual = caps.clone();
-        for r in rates.iter_mut() {
-            *r = Bandwidth::ZERO;
-        }
-        for (_, cid) in &order {
-            let members = &groups[cid];
-            fill(&mut link_bytes, &mut touched, members);
-            // τ_c: finish time of the coflow using only residual capacity.
-            let tau = touched
-                .iter()
-                .map(|&t| {
-                    let t = t as usize;
-                    if residual[t] > 1e-9 {
-                        link_bytes[t] / residual[t]
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(0.0_f64, f64::max);
-            if !tau.is_finite() || tau <= 0.0 {
-                // Starved (no residual capacity anywhere on its path) or
-                // empty: leave rates at zero; backfill may still help.
-                continue;
-            }
-            for &fi in members {
-                let rate = flows[fi].remaining.0 / tau;
-                rates[fi] = Bandwidth(rate);
-                for l in flows[fi].path {
-                    let r = &mut residual[l.index()];
-                    *r = (*r - rate).max(0.0);
-                }
-            }
-        }
-
-        // Work-conserving backfill: max-min over the residual capacity,
-        // added on top of the MADD rates.
-        let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.path).collect();
-        let mut extra = vec![0.0; flows.len()];
-        maxmin::max_min_rates_into(&residual, &paths, &mut extra);
-        for (r, e) in rates.iter_mut().zip(extra) {
-            if e.is_finite() {
-                *r += Bandwidth(e);
-            }
-        }
-    }
-
-    /// Allocation-free mirror of [`allocate`](Self::allocate): identical
-    /// grouping order, identical Γ/τ/MADD arithmetic, identical backfill —
-    /// only the data structures differ (sorted runs instead of a `BTreeMap`,
-    /// CSR max-min instead of the `Vec<Vec<u32>>` reference). The property
-    /// and golden tests prove the outputs bit-identical.
-    fn allocate_table(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        let nl = links.len();
-        let nf = table.len();
-        scratch.refresh_caps(links);
-        let ws = &mut scratch.varys;
-
-        // Group flows into coflows: stable sort of (key, flow) pairs makes
-        // runs of equal keys the groups, in ascending-key order with
-        // members ascending — the BTreeMap order of the reference path.
-        ws.keyed.clear();
-        ws.keyed
-            .extend((0..nf).map(|i| (group_key(table.coflow[i], i), i as u32)));
-        ws.keyed.sort_by_key(|&(key, _)| key);
-
-        // Per-link byte scratch with explicit touched-link tracking, reused
-        // across coflows and across recomputes.
-        ws.link_bytes.clear();
-        ws.link_bytes.resize(nl, 0.0);
-        ws.touched.clear();
-
-        // Effective bottleneck Γ_c against full capacities, one run of
-        // equal keys at a time.
-        ws.order.clear();
-        let mut start = 0usize;
-        while start < nf {
-            let cid = ws.keyed[start].0;
-            let mut end = start + 1;
-            while end < nf && ws.keyed[end].0 == cid {
-                end += 1;
-            }
-            for &t in &ws.touched {
-                ws.link_bytes[t as usize] = 0.0;
-            }
-            ws.touched.clear();
-            for &(_, fi) in &ws.keyed[start..end] {
-                let fi = fi as usize;
-                for l in table.path(fi) {
-                    let idx = l.index();
-                    if ws.link_bytes[idx] == 0.0 {
-                        ws.touched.push(idx as u32);
-                    }
-                    ws.link_bytes[idx] += table.remaining[fi];
-                }
-            }
-            let gamma = ws
-                .touched
-                .iter()
-                .map(|&t| {
-                    let t = t as usize;
-                    if scratch.caps[t] > 0.0 {
-                        ws.link_bytes[t] / scratch.caps[t]
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(0.0_f64, f64::max);
-            ws.order.push((gamma, cid, start as u32, end as u32));
-            start = end;
-        }
-        ws.order
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        // MADD in SEBF order against residual capacities.
-        ws.residual.clear();
-        ws.residual.extend_from_slice(&scratch.caps);
-        for r in rates.iter_mut() {
-            *r = 0.0;
-        }
-        for oi in 0..ws.order.len() {
-            let (_, _, start, end) = ws.order[oi];
-            let members = &ws.keyed[start as usize..end as usize];
-            for &t in &ws.touched {
-                ws.link_bytes[t as usize] = 0.0;
-            }
-            ws.touched.clear();
-            for &(_, fi) in members {
-                let fi = fi as usize;
-                for l in table.path(fi) {
-                    let idx = l.index();
-                    if ws.link_bytes[idx] == 0.0 {
-                        ws.touched.push(idx as u32);
-                    }
-                    ws.link_bytes[idx] += table.remaining[fi];
-                }
-            }
-            // τ_c: finish time of the coflow using only residual capacity.
-            let tau = ws
-                .touched
-                .iter()
-                .map(|&t| {
-                    let t = t as usize;
-                    if ws.residual[t] > 1e-9 {
-                        ws.link_bytes[t] / ws.residual[t]
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(0.0_f64, f64::max);
-            if !tau.is_finite() || tau <= 0.0 {
-                // Starved or empty: leave rates at zero; backfill may still
-                // help.
-                continue;
-            }
-            for &(_, fi) in members {
-                let fi = fi as usize;
-                let rate = table.remaining[fi] / tau;
-                rates[fi] = rate;
-                for l in table.path(fi) {
-                    let r = &mut ws.residual[l.index()];
-                    *r = (*r - rate).max(0.0);
-                }
-            }
-        }
-
-        // Work-conserving backfill: max-min over the residual capacity,
-        // added on top of the MADD rates.
-        ws.extra.clear();
-        ws.extra.resize(nf, 0.0);
-        maxmin::max_min_rates_csr(
-            &ws.residual,
-            table.flow_off,
-            table.flow_links,
-            &mut ws.extra,
-            &mut scratch.maxmin,
-        );
-        for (r, &e) in rates.iter_mut().zip(&ws.extra) {
-            if e.is_finite() {
-                *r += e;
-            }
-        }
-    }
-
-    fn coflow_incremental(&self) -> bool {
-        true
-    }
-
-    fn allocate_dirty(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-        ctx: &DirtyCtx<'_>,
-    ) -> DirtyOutcome {
-        if ctx.caps_changed || !scratch.varys.inc.valid {
-            // A capacity epoch invalidates every cached Γ and residual;
-            // rebuild the whole directory from a from-scratch pass.
-            let rounds = solve_canonical(links, table, rates, scratch);
-            rebuild_cache(&mut scratch.varys, ctx);
-            DirtyOutcome::Full { rounds }
-        } else {
-            let (dirty_flows, rounds) = solve_incremental(links, table, rates, scratch, ctx);
-            DirtyOutcome::Incremental { dirty_flows, rounds }
-        }
-    }
-
-    fn allocate_from_scratch(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        // Oracle entry: never trust — or leave behind — incremental state.
-        scratch.varys.inc.valid = false;
-        let _ = solve_canonical(links, table, rates, scratch);
-    }
-}
-
-/// Union-find `find` with path halving over the per-link parent table.
-#[inline]
-fn find(uf: &mut [u32], mut x: u32) -> u32 {
-    while uf[x as usize] != x {
-        uf[x as usize] = uf[uf[x as usize] as usize];
-        x = uf[x as usize];
-    }
-    x
-}
-
-/// Union by min-root: the smaller link id wins, so component roots are
-/// deterministic regardless of union order.
-#[inline]
-fn union(uf: &mut [u32], a: u32, b: u32) {
-    let (ra, rb) = (find(uf, a), find(uf, b));
-    if ra == rb {
-        return;
-    }
-    if ra < rb {
-        uf[rb as usize] = ra;
+/// Coflow-granular incremental entry point. Given the full current CSR
+/// `table` plus the event delta in `ctx`, writes every rate in `rates` —
+/// re-ranking only the touched coflows and re-solving only the dirtied
+/// backfill components, unless a capacity change or a cold cache forces a
+/// full pass.
+pub(crate) fn allocate_dirty(
+    links: &[Link],
+    table: &FlowTable<'_>,
+    rates: &mut [f64],
+    scratch: &mut AllocScratch,
+    ctx: &DirtyCtx<'_>,
+) -> DirtyOutcome {
+    if ctx.caps_changed || !scratch.varys.inc.valid {
+        // A capacity epoch invalidates every cached Γ and residual;
+        // rebuild the whole directory from a from-scratch pass.
+        let rounds = solve_canonical(links, table, rates, scratch);
+        rebuild_cache(scratch, ctx);
+        DirtyOutcome::Full { rounds }
     } else {
-        uf[ra as usize] = rb;
+        let (dirty_flows, rounds) = solve_incremental(links, table, rates, scratch, ctx);
+        DirtyOutcome::Incremental {
+            dirty_flows,
+            rounds,
+        }
     }
+}
+
+/// The from-scratch oracle entry: [`solve_canonical`] with the
+/// incremental cache invalidated, so it neither trusts nor leaves behind
+/// cached state.
+pub(crate) fn allocate_from_scratch(
+    links: &[Link],
+    table: &FlowTable<'_>,
+    rates: &mut [f64],
+    scratch: &mut AllocScratch,
+) {
+    scratch.varys.inc.valid = false;
+    solve_canonical(links, table, rates, scratch);
 }
 
 /// Accumulates `members`' remaining bytes onto the links they cross
 /// (sparse, via `touched`), resolving fabric slots to table rows through
-/// `row_of`. Mirrors the eager path's fill idiom operation-for-operation:
+/// `row_of`. Mirrors [`solve_canonical`]'s fill operation-for-operation:
 /// members ascend by slot ⇔ rows ascend, so the float accumulation order
 /// is identical to a from-scratch grouped pass.
 fn fill_members(
@@ -509,74 +213,12 @@ fn fill_members(
     }
 }
 
-/// Solves each component run of `comp_rows` (`(root, row)` pairs sorted so
-/// runs of equal roots are components) on its canonical compacted
-/// subproblem — links deduped and sorted ascending, compact ids by rank,
-/// members ascending by row — and writes the per-row backfill into
-/// `extra`. Returns the summed freeze rounds across component solves.
-#[allow(clippy::too_many_arguments)]
-fn solve_components(
-    table: &FlowTable<'_>,
-    residual: &[f64],
-    comp_rows: &[(u32, u32)],
-    extra: &mut [f64],
-    sub_link_ids: &mut Vec<u32>,
-    sub_caps: &mut Vec<f64>,
-    sub_off: &mut Vec<u32>,
-    sub_links: &mut Vec<LinkId>,
-    sub_rates: &mut Vec<f64>,
-    maxmin_ws: &mut MaxMinScratch,
-) -> u64 {
-    let mut rounds = 0u64;
-    let mut s = 0usize;
-    while s < comp_rows.len() {
-        let root = comp_rows[s].0;
-        let mut e = s + 1;
-        while e < comp_rows.len() && comp_rows[e].0 == root {
-            e += 1;
-        }
-        sub_link_ids.clear();
-        for &(_, row) in &comp_rows[s..e] {
-            for l in table.path(row as usize) {
-                sub_link_ids.push(l.0);
-            }
-        }
-        sub_link_ids.sort_unstable();
-        sub_link_ids.dedup();
-        sub_caps.clear();
-        sub_caps.extend(sub_link_ids.iter().map(|&l| residual[l as usize]));
-        sub_off.clear();
-        sub_off.push(0);
-        sub_links.clear();
-        for &(_, row) in &comp_rows[s..e] {
-            for l in table.path(row as usize) {
-                let rank = sub_link_ids
-                    .binary_search(&l.0)
-                    .expect("component link missing from its own dedup");
-                sub_links.push(LinkId(rank as u32));
-            }
-            sub_off.push(sub_links.len() as u32);
-        }
-        sub_rates.clear();
-        sub_rates.resize(e - s, 0.0);
-        maxmin::max_min_rates_csr(sub_caps, sub_off, sub_links, sub_rates, maxmin_ws);
-        rounds += maxmin_ws.last_rounds();
-        for (k, &(_, row)) in comp_rows[s..e].iter().enumerate() {
-            extra[row as usize] = sub_rates[k];
-        }
-        s = e;
-    }
-    rounds
-}
-
-/// From-scratch coflow solve with the *canonical per-component* backfill:
-/// identical grouping, Γ, SEBF order, and MADD arithmetic to the eager
-/// [`VarysSebf::allocate_table`] path, but the work-conserving backfill
-/// decomposes over connected components and solves each on its compacted
-/// subproblem. A whole-graph water-fill is *not* bit-identical to that
-/// (its global level accumulator orders float ops across components), so
-/// this decomposition is the definition both `allocate_dirty` and the
-/// fabric's shadow oracle share. Leaves the sorted group runs in
+/// From-scratch coflow solve: group flows into coflows, rank them by Γ
+/// (SEBF), assign MADD rates against the residual in that order, then
+/// backfill with the canonical per-component max-min
+/// ([`maxmin::max_min_rates_by_component`]) over the post-MADD residual.
+/// This is the definition both [`allocate_dirty`] and the fabric's shadow
+/// oracle share. Leaves the sorted group runs in
 /// `keyed`/`order`, the post-MADD residual in `residual`, and the raw
 /// backfill in `extra` for cache rebuilds. Returns summed freeze rounds.
 fn solve_canonical(
@@ -591,11 +233,11 @@ fn solve_canonical(
     let AllocScratch {
         caps,
         maxmin: maxmin_ws,
+        comp,
         varys: ws,
     } = scratch;
 
-    // Group flows into coflows (stable sort of (key, flow) pairs; see
-    // `allocate_table`).
+    // Group flows into coflows: stable sort of (key, flow) pairs.
     ws.keyed.clear();
     ws.keyed
         .extend((0..nf).map(|i| (group_key(table.coflow[i], i), i as u32)));
@@ -696,40 +338,14 @@ fn solve_canonical(
     }
 
     // Canonical per-component backfill over the residual capacities.
-    ws.uf.clear();
-    ws.uf.extend(0..nl as u32);
-    for row in 0..nf {
-        let path = table.path(row);
-        if path.is_empty() {
-            continue;
-        }
-        let first = path[0].0;
-        for l in &path[1..] {
-            union(&mut ws.uf, first, l.0);
-        }
-    }
-    ws.comp_rows.clear();
-    for row in 0..nf {
-        let path = table.path(row);
-        if path.is_empty() {
-            continue;
-        }
-        let root = find(&mut ws.uf, path[0].0);
-        ws.comp_rows.push((root, row as u32));
-    }
-    ws.comp_rows.sort_unstable();
     ws.extra.clear();
     ws.extra.resize(nf, 0.0);
-    let rounds = solve_components(
-        table,
+    let rounds = maxmin::max_min_rates_by_component(
         &ws.residual,
-        &ws.comp_rows,
+        table.flow_off,
+        table.flow_links,
         &mut ws.extra,
-        &mut ws.sub_link_ids,
-        &mut ws.sub_caps,
-        &mut ws.sub_off,
-        &mut ws.sub_links,
-        &mut ws.sub_rates,
+        comp,
         maxmin_ws,
     );
     for (r, &e) in rates.iter_mut().zip(&ws.extra) {
@@ -743,7 +359,10 @@ fn solve_canonical(
 /// Rebuilds the incremental cache from a just-completed
 /// [`solve_canonical`] pass — group runs in `keyed`/`order`, backfill in
 /// `extra`, residual in `residual` — plus the fabric's row→slot map.
-fn rebuild_cache(ws: &mut VarysScratch, ctx: &DirtyCtx<'_>) {
+fn rebuild_cache(scratch: &mut AllocScratch, ctx: &DirtyCtx<'_>) {
+    let AllocScratch {
+        comp, varys: ws, ..
+    } = scratch;
     let VarysScratch {
         keyed,
         order,
@@ -753,10 +372,8 @@ fn rebuild_cache(ws: &mut VarysScratch, ctx: &DirtyCtx<'_>) {
         dir_tmp,
         dirty_keys,
         carry,
-        uf,
         link_dirty,
         comp_dirty,
-        comp_rows,
         ..
     } = ws;
     inc.recycle();
@@ -801,10 +418,7 @@ fn rebuild_cache(ws: &mut VarysScratch, ctx: &DirtyCtx<'_>) {
     dirty_keys.reserve(n);
     carry.clear();
     carry.reserve(n);
-    comp_rows.clear();
-    comp_rows.reserve(n);
-    uf.clear();
-    uf.reserve(nl);
+    comp.reserve(n, nl);
     link_dirty.clear();
     link_dirty.reserve(nl);
     comp_dirty.clear();
@@ -844,6 +458,7 @@ fn solve_incremental(
     let AllocScratch {
         caps,
         maxmin: maxmin_ws,
+        comp,
         varys: ws,
     } = scratch;
     let VarysScratch {
@@ -854,15 +469,8 @@ fn solve_incremental(
         inc,
         dirty_keys,
         carry,
-        uf,
         link_dirty,
         comp_dirty,
-        comp_rows,
-        sub_link_ids,
-        sub_caps,
-        sub_off,
-        sub_links,
-        sub_rates,
         ..
     } = ws;
 
@@ -995,23 +603,12 @@ fn solve_incremental(
 
     // 5. Component split over the current graph; a component is dirty
     //    when any of its links is.
-    uf.clear();
-    uf.extend(0..nl as u32);
-    for row in 0..n {
-        let path = table.path(row);
-        if path.is_empty() {
-            continue;
-        }
-        let first = path[0].0;
-        for l in &path[1..] {
-            union(uf, first, l.0);
-        }
-    }
+    comp.link_components(nl, table.flow_off, table.flow_links);
     comp_dirty.clear();
     comp_dirty.resize(nl, false);
     for l in 0..nl as u32 {
         if link_dirty[l as usize] {
-            comp_dirty[find(uf, l) as usize] = true;
+            comp_dirty[comp.root(l) as usize] = true;
         }
     }
 
@@ -1032,16 +629,16 @@ fn solve_incremental(
     }
     extra.clear();
     extra.resize(n, 0.0);
-    comp_rows.clear();
+    comp.comp_rows.clear();
     let mut dirty_flows = 0u64;
     for row in 0..n {
         let path = table.path(row);
         if path.is_empty() {
             continue;
         }
-        let root = find(uf, path[0].0);
+        let root = comp.root(path[0].0);
         if comp_dirty[root as usize] {
-            comp_rows.push((root, row as u32));
+            comp.comp_rows.push((root, row as u32));
             dirty_flows += 1;
         } else {
             debug_assert!(
@@ -1051,19 +648,8 @@ fn solve_incremental(
             extra[row] = carry[row];
         }
     }
-    comp_rows.sort_unstable();
-    let rounds = solve_components(
-        table,
-        residual,
-        comp_rows,
-        extra,
-        sub_link_ids,
-        sub_caps,
-        sub_off,
-        sub_links,
-        sub_rates,
-        maxmin_ws,
-    );
+    comp.comp_rows.sort_unstable();
+    let rounds = comp.solve(residual, table.flow_off, table.flow_links, extra, maxmin_ws);
     for (r, &e) in rates.iter_mut().zip(extra.iter()) {
         if e.is_finite() {
             *r += e;
@@ -1083,11 +669,32 @@ fn solve_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkClass;
-    use corral_model::Bytes;
+    use crate::link::{LinkClass, LinkId};
+    use corral_model::Bandwidth;
 
     fn link(cap: f64) -> Link {
         Link::new(LinkClass::RackUp, 0, Bandwidth(cap))
+    }
+
+    /// Solves `flows` — `(path, bytes, coflow)` — from scratch.
+    fn solve(links: &[Link], flows: &[(&[u32], f64, Option<u64>)]) -> Vec<f64> {
+        let mut flow_off = vec![0u32];
+        let mut flow_links = Vec::new();
+        for (path, _, _) in flows {
+            flow_links.extend(path.iter().map(|&l| LinkId(l)));
+            flow_off.push(flow_links.len() as u32);
+        }
+        let remaining: Vec<f64> = flows.iter().map(|f| f.1).collect();
+        let coflow: Vec<Option<CoflowId>> = flows.iter().map(|f| f.2.map(CoflowId)).collect();
+        let table = FlowTable {
+            flow_off: &flow_off,
+            flow_links: &flow_links,
+            remaining: &remaining,
+            coflow: &coflow,
+        };
+        let mut rates = vec![0.0; flows.len()];
+        allocate_from_scratch(links, &table, &mut rates, &mut AllocScratch::new());
+        rates
     }
 
     /// Two coflows on one link: the smaller finishes first at full rate
@@ -1096,26 +703,12 @@ mod tests {
     #[test]
     fn sebf_prioritizes_small_coflow() {
         let links = vec![link(100.0)];
-        let path = [LinkId(0)];
-        let flows = [
-            FlowView {
-                path: &path,
-                remaining: Bytes(1000.0),
-                coflow: Some(CoflowId(0)),
-            },
-            FlowView {
-                path: &path,
-                remaining: Bytes(10.0),
-                coflow: Some(CoflowId(1)),
-            },
-        ];
-        let mut rates = [Bandwidth::ZERO; 2];
-        VarysSebf.allocate(&links, &flows, &mut rates);
+        let rates = solve(&links, &[(&[0], 1000.0, Some(0)), (&[0], 10.0, Some(1))]);
         // Coflow 1 (10 bytes) has smaller Γ: gets the whole link; coflow 0
         // gets the rest (0 here) — strictly prioritized, unlike fair share.
-        assert!(rates[1].0 > rates[0].0);
-        assert!((rates[0].0 + rates[1].0) <= 100.0 + 1e-6);
-        assert!((rates[1].0 - 100.0).abs() < 1e-6);
+        assert!(rates[1] > rates[0]);
+        assert!((rates[0] + rates[1]) <= 100.0 + 1e-6);
+        assert!((rates[1] - 100.0).abs() < 1e-6);
     }
 
     /// MADD: within one coflow, flows get rates proportional to their
@@ -1126,54 +719,25 @@ mod tests {
         // Bottleneck is link0: τ = 300/100 = 3s. Flow rates: 100, 33.3.
         // Backfill then tops flow 1 up to link1's full capacity.
         let links = vec![link(100.0), link(100.0)];
-        let p0 = [LinkId(0)];
-        let p1 = [LinkId(1)];
-        let flows = [
-            FlowView {
-                path: &p0,
-                remaining: Bytes(300.0),
-                coflow: Some(CoflowId(7)),
-            },
-            FlowView {
-                path: &p1,
-                remaining: Bytes(100.0),
-                coflow: Some(CoflowId(7)),
-            },
-        ];
-        let mut rates = [Bandwidth::ZERO; 2];
-        VarysSebf.allocate(&links, &flows, &mut rates);
-        assert!((rates[0].0 - 100.0).abs() < 1e-6);
+        let rates = solve(&links, &[(&[0], 300.0, Some(7)), (&[1], 100.0, Some(7))]);
+        assert!((rates[0] - 100.0).abs() < 1e-6);
         // MADD would give 33.3; work conservation raises it to 100.
-        assert!((rates[1].0 - 100.0).abs() < 1e-6);
+        assert!((rates[1] - 100.0).abs() < 1e-6);
     }
 
     #[test]
     fn feasible_under_contention() {
         let links = vec![link(50.0), link(80.0)];
-        let p0 = [LinkId(0), LinkId(1)];
-        let p1 = [LinkId(0)];
-        let p2 = [LinkId(1)];
-        let flows = [
-            FlowView {
-                path: &p0,
-                remaining: Bytes(500.0),
-                coflow: Some(CoflowId(1)),
-            },
-            FlowView {
-                path: &p1,
-                remaining: Bytes(200.0),
-                coflow: Some(CoflowId(2)),
-            },
-            FlowView {
-                path: &p2,
-                remaining: Bytes(900.0),
-                coflow: None,
-            },
-        ];
-        let mut rates = [Bandwidth::ZERO; 3];
-        VarysSebf.allocate(&links, &flows, &mut rates);
-        let load0 = rates[0].0 + rates[1].0;
-        let load1 = rates[0].0 + rates[2].0;
+        let rates = solve(
+            &links,
+            &[
+                (&[0, 1], 500.0, Some(1)),
+                (&[0], 200.0, Some(2)),
+                (&[1], 900.0, None),
+            ],
+        );
+        let load0 = rates[0] + rates[1];
+        let load1 = rates[0] + rates[2];
         assert!(load0 <= 50.0 + 1e-6, "link0 overloaded: {load0}");
         assert!(load1 <= 80.0 + 1e-6, "link1 overloaded: {load1}");
         // Work conservation: at least one link saturated.
@@ -1183,14 +747,7 @@ mod tests {
     #[test]
     fn coflowless_flows_still_progress() {
         let links = vec![link(10.0)];
-        let path = [LinkId(0)];
-        let flows = [FlowView {
-            path: &path,
-            remaining: Bytes(100.0),
-            coflow: None,
-        }];
-        let mut rates = [Bandwidth::ZERO];
-        VarysSebf.allocate(&links, &flows, &mut rates);
-        assert!((rates[0].0 - 10.0).abs() < 1e-6);
+        let rates = solve(&links, &[(&[0], 100.0, None)]);
+        assert!((rates[0] - 10.0).abs() < 1e-6);
     }
 }

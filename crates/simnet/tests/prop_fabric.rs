@@ -1,16 +1,46 @@
 //! Property tests for the fluid fabric: allocation invariants and
 //! end-to-end conservation.
 
-use corral_model::{Bandwidth, Bytes, ClusterConfig, MachineId};
-use corral_simnet::allocator::{FlowView, RateAllocator};
-use corral_simnet::maxmin::{link_loads, max_min_rates};
+use corral_model::{Bytes, ClusterConfig, MachineId};
+use corral_simnet::maxmin::link_loads;
 use corral_simnet::{
-    CoflowId, Fabric, FairShare, FlowKind, FlowSpec, FlowTag, LinkId, Topology, VarysSebf,
+    AllocScratch, CoflowId, Fabric, FlowKind, FlowSpec, FlowTable, FlowTag, LinkId, RatePolicy,
+    Topology,
 };
 use proptest::prelude::*;
 
 fn cfg() -> ClusterConfig {
     ClusterConfig::tiny_test()
+}
+
+/// Solves the network flows of `specs` (machine-local ones dropped) from
+/// scratch under `policy`; returns their paths and rates.
+fn solve(
+    topo: &Topology,
+    specs: &[(u32, u32, f64, Option<u64>)],
+    policy: RatePolicy,
+) -> (Vec<Vec<LinkId>>, Vec<f64>) {
+    let net: Vec<_> = specs.iter().filter(|(s, d, _, _)| s != d).collect();
+    let paths: Vec<Vec<LinkId>> = net
+        .iter()
+        .map(|(s, d, _, _)| topo.path(MachineId(*s), MachineId(*d)).as_slice().to_vec())
+        .collect();
+    let mut flow_off = vec![0u32];
+    for p in &paths {
+        flow_off.push(flow_off.last().unwrap() + p.len() as u32);
+    }
+    let flow_links: Vec<LinkId> = paths.concat();
+    let remaining: Vec<f64> = net.iter().map(|f| f.2).collect();
+    let coflow: Vec<Option<CoflowId>> = net.iter().map(|f| f.3.map(CoflowId)).collect();
+    let table = FlowTable {
+        flow_off: &flow_off,
+        flow_links: &flow_links,
+        remaining: &remaining,
+        coflow: &coflow,
+    };
+    let mut rates = vec![0.0; net.len()];
+    policy.allocate_from_scratch(topo.links(), &table, &mut rates, &mut AllocScratch::new());
+    (paths, rates)
 }
 
 /// Strategy: a set of random flows on the tiny topology.
@@ -34,14 +64,9 @@ proptest! {
     fn maxmin_feasible_and_bottlenecked(specs in flows(1..24)) {
         let topo = Topology::new(cfg());
         let caps: Vec<f64> = topo.links().iter().map(|l| l.effective_capacity().0).collect();
-        let paths_own: Vec<Vec<LinkId>> = specs
-            .iter()
-            .filter(|(s, d, _, _)| s != d)
-            .map(|(s, d, _, _)| topo.path(MachineId(*s), MachineId(*d)).as_slice().to_vec())
-            .collect();
+        let (paths_own, rates) = solve(&topo, &specs, RatePolicy::FairShare);
         prop_assume!(!paths_own.is_empty());
         let paths: Vec<&[LinkId]> = paths_own.iter().map(|p| p.as_slice()).collect();
-        let rates = max_min_rates(&caps, &paths);
         let loads = link_loads(caps.len(), &paths, &rates);
         for (l, &load) in loads.iter().enumerate() {
             prop_assert!(load <= caps[l] * (1.0 + 1e-6) + 1e-6, "link {l} overloaded");
@@ -57,43 +82,23 @@ proptest! {
     #[test]
     fn varys_feasible(specs in flows(1..24)) {
         let topo = Topology::new(cfg());
-        let filtered: Vec<_> = specs.iter().filter(|(s, d, _, _)| s != d).collect();
-        prop_assume!(!filtered.is_empty());
-        let paths_own: Vec<Vec<LinkId>> = filtered
-            .iter()
-            .map(|(s, d, _, _)| topo.path(MachineId(*s), MachineId(*d)).as_slice().to_vec())
-            .collect();
-        let views: Vec<FlowView<'_>> = filtered
-            .iter()
-            .zip(&paths_own)
-            .map(|((_, _, bytes, cf), p)| FlowView {
-                path: p.as_slice(),
-                remaining: Bytes(*bytes),
-                coflow: cf.map(CoflowId),
-            })
-            .collect();
-        let mut rates = vec![Bandwidth::ZERO; views.len()];
-        VarysSebf.allocate(topo.links(), &views, &mut rates);
-
+        let (paths_own, rates) = solve(&topo, &specs, RatePolicy::Varys);
+        prop_assume!(!paths_own.is_empty());
+        let paths: Vec<&[LinkId]> = paths_own.iter().map(|p| p.as_slice()).collect();
         let caps: Vec<f64> = topo.links().iter().map(|l| l.effective_capacity().0).collect();
-        let mut loads = vec![0.0; caps.len()];
-        for (v, r) in views.iter().zip(&rates) {
-            for l in v.path {
-                loads[l.index()] += r.0;
-            }
-        }
+        let loads = link_loads(caps.len(), &paths, &rates);
         for (l, &load) in loads.iter().enumerate() {
             prop_assert!(load <= caps[l] * (1.0 + 1e-6) + 1e-6, "link {l} overloaded");
         }
         // Work conservation: at least one flow gets positive rate.
-        prop_assert!(rates.iter().any(|r| r.0 > 0.0));
+        prop_assert!(rates.iter().any(|&r| r > 0.0));
     }
 
     /// End-to-end conservation: draining random flows transfers exactly
     /// their byte volumes, and stats account for every byte.
     #[test]
     fn fabric_conserves_bytes(specs in flows(1..16)) {
-        let mut fabric = Fabric::new(cfg(), Box::new(FairShare));
+        let mut fabric = Fabric::new(cfg(), RatePolicy::FairShare);
         let mut total = 0.0;
         let mut n = 0;
         for (s, d, bytes, cf) in &specs {
@@ -122,7 +127,7 @@ proptest! {
     #[test]
     fn varys_drain_deterministic(specs in flows(1..12)) {
         let run = |specs: &[(u32, u32, f64, Option<u64>)]| {
-            let mut fabric = Fabric::new(cfg(), Box::new(VarysSebf));
+            let mut fabric = Fabric::new(cfg(), RatePolicy::Varys);
             for (s, d, bytes, cf) in specs {
                 fabric.start_flow(FlowSpec {
                     src: MachineId(*s),

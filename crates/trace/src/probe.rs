@@ -169,12 +169,8 @@ pub enum ProbeCounter {
     /// Fabric recomputes that re-solved only the dirty bottleneck
     /// components (the incremental path).
     RecomputeIncremental,
-    /// Fabric recomputes that ran the full eager solve because the
-    /// allocator has no incremental form at all.
-    RecomputeFullEager,
-    /// Coflow-local recomputes that degenerated to a full pass because
-    /// the dirtied priority boundary covered the whole order (capacity
-    /// change, cold cache, or an oversized dirty set).
+    /// Varys recomputes that ran a full pass because a capacity change or
+    /// a cold cache invalidated the coflow-local caches.
     RecomputeFullBoundary,
     /// Sum of dirty-set sizes (candidate flows re-solved) across
     /// incremental recomputes.
@@ -190,7 +186,7 @@ pub enum ProbeCounter {
 
 impl ProbeCounter {
     /// Every counter, in stable report order.
-    pub const ALL: [ProbeCounter; 29] = [
+    pub const ALL: [ProbeCounter; 28] = [
         ProbeCounter::RecomputeFlowStart,
         ProbeCounter::RecomputeFlowCancel,
         ProbeCounter::RecomputeBackground,
@@ -215,7 +211,6 @@ impl ProbeCounter {
         ProbeCounter::ServeReanchored,
         ProbeCounter::ServeDispatchRetry,
         ProbeCounter::RecomputeIncremental,
-        ProbeCounter::RecomputeFullEager,
         ProbeCounter::RecomputeFullBoundary,
         ProbeCounter::FabricDirtyFlowsSum,
         ProbeCounter::FabricDirtyFlowsSamples,
@@ -249,7 +244,6 @@ impl ProbeCounter {
             ProbeCounter::ServeReanchored => "serve.reanchored",
             ProbeCounter::ServeDispatchRetry => "serve.dispatch_retries",
             ProbeCounter::RecomputeIncremental => "fabric.recompute_incremental",
-            ProbeCounter::RecomputeFullEager => "fabric.recompute_full_eager",
             ProbeCounter::RecomputeFullBoundary => "fabric.recompute_full_boundary",
             ProbeCounter::FabricDirtyFlowsSum => "fabric.dirty_flows_sum",
             ProbeCounter::FabricDirtyFlowsSamples => "fabric.dirty_flows_samples",
