@@ -35,14 +35,6 @@ pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::Relaxed);
 }
 
-/// The configured worker count (resolving 0 to the host's parallelism).
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::Relaxed) {
-        0 => corral_sweep::default_jobs(),
-        n => n,
-    }
-}
-
 /// Sets the arrival-seed pool size (0 = [`DEFAULT_SEEDS`]).
 pub fn set_seeds(n: usize) {
     SEEDS.store(n, Ordering::Relaxed);
@@ -67,9 +59,10 @@ pub fn arrival_seeds() -> Vec<u64> {
     seeds
 }
 
-/// A sweep pool configured with the harness's worker count.
+/// A sweep pool configured with the harness's worker count (`SweepPool`
+/// resolves 0 to the host's parallelism).
 pub fn pool() -> SweepPool {
-    SweepPool::new(jobs())
+    SweepPool::new(JOBS.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]

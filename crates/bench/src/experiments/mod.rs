@@ -2,8 +2,6 @@
 //! writes CSVs under `results/`; ids match DESIGN.md's experiment index.
 
 pub mod ablations;
-pub mod chaosbench;
-pub mod fabricbench;
 pub mod fig1;
 pub mod fig10;
 pub mod fig11;
@@ -20,13 +18,9 @@ pub mod fig9;
 pub mod latmodel;
 pub mod lpgap;
 pub mod netseries;
-pub mod perfreport;
 pub mod phases;
-pub mod plannerbench;
 pub mod pred;
 pub mod replan;
-pub mod servebench;
-pub mod sweepbench;
 pub mod table1;
 
 use corral_model::JobSpec;
@@ -67,8 +61,8 @@ pub fn workload(name: &str) -> Vec<JobSpec> {
 }
 
 /// [`workload`] without the defensive clone: the cached, immutable base
-/// jobset behind an `Arc`, cheap to share across sweep cells (groundwork
-/// for cross-run workload reuse in the sweep pool, ROADMAP 5a).
+/// jobset behind an `Arc`, cheap to share across the cells of a sweep
+/// grid (fig6, fig7 and fig14xl read it this way).
 pub fn workload_shared(name: &str) -> Arc<Vec<JobSpec>> {
     static CACHE: OnceLock<Mutex<BTreeMap<String, Arc<Vec<JobSpec>>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));

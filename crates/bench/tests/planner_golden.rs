@@ -9,20 +9,26 @@
 //!    byte-identical plan CSVs on the two planning shapes the experiments
 //!    rerun hottest: the replan-shaped pinned problem (§3.1) and the
 //!    fig13b-shaped forecast problem (plan on perturbed arrivals).
-//! 3. The serial planner and the pooled planner agree with each other and
-//!    with the frozen reference oracle.
+//! 3. The pooled planner agrees with the frozen reference oracle on
+//!    objective bits, rack counts and candidate counts — on the golden
+//!    workload and on four larger cells (three synthetic scales and a
+//!    replan-shaped W1 problem) whose candidate counts are golden too.
 //!
-//! The fingerprints are asserted with the actual values in the panic
-//! message; after an *intentional* planner change, rerun and paste the
-//! printed bits.
+//! The fingerprints and counts are asserted with the actual values in the
+//! panic message; after an *intentional* planner change, rerun and paste
+//! the printed values.
 
+use corral_bench::experiments::workload_online;
+use corral_bench::runner::RunConfig;
 use corral_core::planner::perturb_arrivals;
 use corral_core::provision::{provision_reference, ProvisionMode};
 use corral_core::{
     plan_jobs, plan_jobs_pinned, plan_jobs_pinned_pooled, LatencyModel, Objective, Plan,
     PlannerConfig, ResponseOptions,
 };
-use corral_model::{ClusterConfig, JobId, JobSpec, RackId, SimTime};
+use corral_model::{
+    Bandwidth, Bytes, ClusterConfig, JobId, JobSpec, MapReduceProfile, RackId, SimTime,
+};
 use corral_sweep::SweepPool;
 use corral_workloads::{assign_uniform_arrivals, w1, Scale};
 use std::collections::BTreeMap;
@@ -97,18 +103,24 @@ fn planner_matches_embedded_golden_bits_for_both_objectives() {
 }
 
 /// The replan-shaped pinned planning problem (§3.1): an initial plan from
-/// forecast arrivals anchors early jobs' racks; re-plan with true
-/// arrivals and those pins. Mirrors `experiments/replan.rs` and the
-/// plannerbench replan cell.
-fn replan_pins(cfg: &ClusterConfig, jobs: &[JobSpec]) -> BTreeMap<JobId, Vec<RackId>> {
-    let forecast = perturb_arrivals(jobs, 0.5, SimTime::minutes(2.0), 0x8E);
+/// forecast arrivals (true arrivals jittered by up to `jitter`) anchors
+/// the racks of jobs arriving by `uploaded`, whose input is already
+/// placed; re-plan with true arrivals and those pins. Mirrors
+/// `experiments/replan.rs`.
+fn replan_pins(
+    cfg: &ClusterConfig,
+    jobs: &[JobSpec],
+    jitter: SimTime,
+    seed: u64,
+    uploaded: SimTime,
+) -> BTreeMap<JobId, Vec<RackId>> {
+    let forecast = perturb_arrivals(jobs, 0.5, jitter, seed);
     let initial = plan_jobs(
         cfg,
         &forecast,
         Objective::AvgCompletionTime,
         &PlannerConfig::default(),
     );
-    let uploaded = SimTime::minutes(2.5);
     jobs.iter()
         .filter(|j| j.arrival <= uploaded)
         .filter_map(|j| initial.entry(j.id).map(|e| (j.id, e.racks.clone())))
@@ -119,7 +131,13 @@ fn replan_pins(cfg: &ClusterConfig, jobs: &[JobSpec]) -> BTreeMap<JobId, Vec<Rac
 fn replan_shaped_plan_is_identical_across_pool_sizes() {
     let cfg = cluster();
     let jobs = golden_jobsets();
-    let pins = replan_pins(&cfg, &jobs);
+    let pins = replan_pins(
+        &cfg,
+        &jobs,
+        SimTime::minutes(2.0),
+        0x8E,
+        SimTime::minutes(2.5),
+    );
     assert!(
         !pins.is_empty() && pins.len() < jobs.len(),
         "shape check: the replan problem must mix pinned and free jobs"
@@ -170,37 +188,151 @@ fn fig13b_shaped_plan_is_identical_across_pool_sizes() {
     }
 }
 
+/// One input of the reference-oracle check: jobs on a cluster under one
+/// objective, with optional rack pins and, where embedded, the golden
+/// candidate count.
+struct Problem {
+    label: &'static str,
+    cfg: ClusterConfig,
+    jobs: Vec<JobSpec>,
+    objective: Objective,
+    pins: BTreeMap<JobId, Vec<RackId>>,
+    golden_candidates: Option<u64>,
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn unit(rng: &mut u64) -> f64 {
+    (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// A synthetic makespan problem of `jobs` unpinned jobs on `racks` racks:
+/// sizes log-uniform over ~3 decades (mostly small jobs, a heavy tail
+/// that dominates the makespan — where widening decisions matter),
+/// arrivals uniform over an hour. Unpinned, the candidate count follows
+/// the §4.2 formula `1 + J·(R−1)` exactly.
+fn synthetic(label: &'static str, jobs: usize, racks: usize, seed: u64, golden: u64) -> Problem {
+    let mut rng = seed;
+    let jobs = (0..jobs)
+        .map(|i| {
+            let input_gb = 10f64.powf(unit(&mut rng) * 3.0) * 0.5; // 0.5 GB – 500 GB
+            let shuffle_gb = input_gb * (0.2 + 0.6 * unit(&mut rng));
+            let tasks = ((input_gb * 4.0) as usize).clamp(4, 4000);
+            let mr = MapReduceProfile {
+                input: Bytes::gb(input_gb),
+                shuffle: Bytes::gb(shuffle_gb),
+                output: Bytes::gb(input_gb / 10.0),
+                maps: tasks,
+                reduces: (tasks / 2).max(1),
+                map_rate: Bandwidth::mbytes_per_sec(100.0),
+                reduce_rate: Bandwidth::mbytes_per_sec(100.0),
+            };
+            JobSpec::map_reduce(JobId(i as u32), format!("s{i}"), mr)
+                .arriving_at(SimTime(unit(&mut rng) * 3600.0))
+        })
+        .collect();
+    Problem {
+        label,
+        cfg: ClusterConfig {
+            racks,
+            ..ClusterConfig::testbed_210()
+        },
+        jobs,
+        objective: Objective::Makespan,
+        pins: BTreeMap::new(),
+        golden_candidates: Some(golden),
+    }
+}
+
+/// Every problem the oracle check runs: the golden workload under both
+/// objectives, three synthetic scales, and the W1 online workload
+/// re-planned mid-horizon — jobs arriving in the first half hour stay
+/// pinned to their forecast racks and sit out the widening loop.
+fn problems() -> Vec<Problem> {
+    let golden = |label, objective| Problem {
+        label,
+        cfg: cluster(),
+        jobs: golden_jobsets(),
+        objective,
+        pins: BTreeMap::new(),
+        golden_candidates: None,
+    };
+    let rc = RunConfig::testbed(Objective::AvgCompletionTime);
+    let w1 = workload_online("W1", 0x1);
+    let pins = replan_pins(
+        &rc.params.cluster,
+        &w1,
+        SimTime::minutes(8.0),
+        0x1 ^ 0x8E,
+        SimTime::minutes(30.0),
+    );
+    vec![
+        golden("golden-makespan", Objective::Makespan),
+        golden("golden-avgjct", Objective::AvgCompletionTime),
+        synthetic("small", 24, 7, 0x91A_0001, 145),
+        synthetic("medium", 96, 14, 0x91A_0002, 1249),
+        synthetic("large", 256, 24, 0x91A_0003, 5889),
+        Problem {
+            label: "replan-w1",
+            cfg: rc.params.cluster,
+            jobs: w1,
+            objective: rc.objective,
+            pins,
+            golden_candidates: Some(463),
+        },
+    ]
+}
+
 #[test]
 fn planner_agrees_with_frozen_reference_oracle_on_golden_workload() {
-    // End-to-end: the plan the fast path builds scores exactly what the
-    // frozen reference provisioner computes on the same inputs.
-    let cfg = cluster();
-    let jobs = golden_jobsets();
+    // End-to-end: the plan the pooled fast path builds scores exactly what
+    // the frozen reference provisioner computes on the same inputs.
     let pc = PlannerConfig::default();
-    for objective in [Objective::Makespan, Objective::AvgCompletionTime] {
-        let plan = plan_jobs(&cfg, &jobs, objective, &pc);
-        let models: Vec<LatencyModel> = jobs
+    let pool = SweepPool::new(2).progress(false);
+    for p in problems() {
+        let label = p.label;
+        let plan = plan_jobs_pinned_pooled(&pool, &p.cfg, &p.jobs, p.objective, &pc, &p.pins);
+        let models: Vec<LatencyModel> = p
+            .jobs
             .iter()
-            .map(|j| LatencyModel::build(&j.profile, &cfg, &ResponseOptions::default()))
+            .map(|j| LatencyModel::build(&j.profile, &p.cfg, &ResponseOptions::default()))
             .collect();
-        let meta: Vec<(JobId, SimTime)> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
-        let pins = vec![None; jobs.len()];
+        let meta: Vec<(JobId, SimTime)> = p.jobs.iter().map(|j| (j.id, j.arrival)).collect();
+        let pins: Vec<_> = p.jobs.iter().map(|j| p.pins.get(&j.id).cloned()).collect();
         let oracle = provision_reference(
             &models,
             &meta,
             &pins,
-            cfg.racks,
-            objective,
+            p.cfg.racks,
+            p.objective,
             ProvisionMode::Exhaustive,
         );
         assert_eq!(
             plan.objective_value.to_bits(),
             oracle.objective_value.to_bits(),
-            "{objective:?}: plan and oracle objective bits diverge"
+            "{label}: plan and oracle objective bits diverge"
         );
+        let racks: Vec<usize> = p
+            .jobs
+            .iter()
+            .map(|j| plan.entry(j.id).map_or(0, |e| e.racks.len()))
+            .collect();
+        assert_eq!(racks, oracle.racks, "{label}: allocations diverge");
         assert_eq!(
             plan.provision_stats.candidates, oracle.stats.candidates,
-            "{objective:?}: candidate counts diverge"
+            "{label}: candidate counts diverge"
         );
+        if let Some(golden) = p.golden_candidates {
+            assert_eq!(
+                oracle.stats.candidates, golden,
+                "{label}: candidate count drifted from its golden"
+            );
+        }
     }
 }

@@ -60,5 +60,5 @@ pub use predict::{HistoryPoint, Predictor};
 pub use prioritize::{prioritize_jobs, schedule_value, PlannerScratch, PrioritizeJob};
 pub use provision::{
     provision, provision_pinned, provision_pinned_pooled, provision_reference, provision_with_mode,
-    validate_pins, ProvisionMode, ProvisionStats, PLANNER_COUNTERS,
+    validate_pins, ProvisionMode, ProvisionStats,
 };

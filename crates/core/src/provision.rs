@@ -30,8 +30,9 @@
 //!
 //! The pre-optimization implementation survives as
 //! [`provision_reference`], the oracle a 200-case randomized property
-//! test (`crates/core/tests/prop_provision.rs`) and the `repro
-//! plannerbench` experiment hold the fast path against, bit for bit.
+//! test (`crates/core/tests/prop_provision.rs`) and the golden planner
+//! cells (`crates/bench/tests/planner_golden.rs`) hold the fast path
+//! against, bit for bit.
 
 use crate::latency::LatencyModel;
 use crate::objective::Objective;
@@ -60,9 +61,9 @@ pub enum ProvisionMode {
 
 /// Cost counters of one provisioning run, the planner's analogue of the
 /// fabric's `FabricStats`. `candidates` and `heap_pops` are deterministic
-/// (pure functions of the input) and serve as golden tripwires in `repro
-/// plannerbench`; `scratch_grows` depends on what previously ran on the
-/// scoring threads and is informational only.
+/// (pure functions of the input); `candidates` is pinned by golden counts
+/// in `crates/bench/tests/planner_golden.rs`. `scratch_grows` depends on
+/// what previously ran on the scoring threads and is informational only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProvisionStats {
     /// Candidate allocations scored (widenings + the initial allocation).
@@ -72,24 +73,6 @@ pub struct ProvisionStats {
     /// Times a scoring scratch buffer had to (re)allocate — 0 in steady
     /// state once the per-thread scratches have warmed up.
     pub scratch_grows: u64,
-}
-
-/// Counter names for mirroring [`ProvisionStats`] into a
-/// [`corral_trace::CounterSet`] (the observability contract of ISSUE 5).
-pub const PLANNER_COUNTERS: [&str; 3] = [
-    "planner.candidates",
-    "planner.heap_pops",
-    "planner.scratch_grows",
-];
-
-impl ProvisionStats {
-    /// Adds these stats to `counters` (which must declare
-    /// [`PLANNER_COUNTERS`]).
-    pub fn record(&self, counters: &corral_trace::CounterSet) {
-        counters.add("planner.candidates", self.candidates);
-        counters.add("planner.heap_pops", self.heap_pops);
-        counters.add("planner.scratch_grows", self.scratch_grows);
-    }
 }
 
 /// The outcome of provisioning + prioritization.
@@ -398,13 +381,13 @@ fn provision_fast(
 }
 
 /// The pre-fast-path provisioning implementation, kept as the oracle the
-/// property tests and `repro plannerbench` measure against: per-iteration
+/// property tests and golden planner cells check against: per-iteration
 /// `O(J)` widening scan, a fresh full prioritization (with its
 /// per-job `O(R log R)` rack sort) per candidate, and a materialized
 /// schedule per evaluation. Pins are borrowed (not cloned per candidate)
-/// and the job-input vector is built once and patched in place, so the
-/// benchmark isolates the *algorithmic* wins of the fast path from
-/// incidental allocation. Must stay semantically frozen — behavioral
+/// and the job-input vector is built once and patched in place, so a
+/// timing against it isolates the *algorithmic* wins of the fast path
+/// from incidental allocation. Must stay semantically frozen — behavioral
 /// changes belong in the fast path, proven equivalent by
 /// `prop_provision.rs`.
 pub fn provision_reference(

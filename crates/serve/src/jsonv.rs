@@ -1,12 +1,10 @@
 //! A minimal JSON value: parser + serializer — the wire format of the
-//! `corral-sim serve` JSONL frontend, also read by `repro perfreport`
-//! (which re-reads the `BENCH_*.json` files the benches emit and merges
-//! them).
+//! `corral-sim serve` JSONL frontend.
 //!
 //! The workspace stays dependency-free, and `corral_trace::json` is a
 //! write-only escaper, so the read side lives here. The subset is full
 //! JSON minus two deliberate omissions: no `\u` surrogate-pair
-//! stitching (escapes decode to their code point; the benches emit
+//! stitching (escapes decode to their code point; the wire is
 //! ASCII) and numbers parse via `f64` (plenty for wall-clock seconds
 //! and counters < 2^53).
 //!

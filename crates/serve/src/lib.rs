@@ -46,7 +46,7 @@
 //! * [`error`] — the structured [`error::ServeError`] every fallible
 //!   serving path returns (malformed lines, corrupt snapshots, overload).
 //! * [`chaos`] — deterministic seeded failure-schedule injection for
-//!   tests and `repro chaosbench`.
+//!   tests and the chaos golden cells.
 //! * malformed input degrades to [`event::ServeEvent::Malformed`]
 //!   (counted + structured reject), snapshots are checksummed, the
 //!   channel frontend is bounded with explicit shed-load, and dispatch

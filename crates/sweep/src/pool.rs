@@ -110,8 +110,8 @@ impl SweepPool {
     /// `jobs`, capped by the cell count — and clamped to 1 (serial
     /// inline execution, no pool threads) when the host itself has only
     /// one CPU, where worker threads cost context switches and
-    /// contention but can never overlap work (the 0.857× "speedup"
-    /// recorded by `repro sweepbench` on a 1-CPU host).
+    /// contention but can never overlap work (a serial-vs-parallel timing
+    /// once measured a 0.857× "speedup" on a 1-CPU host).
     pub fn effective_jobs(&self, n: usize) -> usize {
         let w = self.jobs.min(n).max(1);
         if default_jobs() == 1 {
