@@ -595,7 +595,7 @@ fn run(cells: &[CellSpec], repeats: usize, smoke: bool) {
     println!("   wrote BENCH_scale.json");
 }
 
-/// The full sweep: all twelve cells, [`REPEATS`] timed pairs each.
+/// The full sweep: all twelve cells, `REPEATS` timed pairs each.
 pub fn main() {
     run(&CELLS, REPEATS, false);
 }

@@ -10,7 +10,7 @@ use crate::experiments::bench_scale;
 use crate::table;
 use corral_core::latency::{LatencyModel, ResponseOptions};
 use corral_core::lp::{batch_lower_bound, online_lower_bound};
-use corral_core::provision::{provision, provision_with_mode, ProvisionMode};
+use corral_core::provision::{provision, ProvisionMode};
 use corral_core::Objective;
 use corral_model::{ClusterConfig, SimTime};
 use corral_workloads::{assign_uniform_arrivals, w1, w3};
@@ -35,7 +35,16 @@ fn latency_tables(
 pub fn batch_gap(jobs: &[corral_model::JobSpec], cfg: &ClusterConfig) -> (f64, f64, f64) {
     let (models, tables) = latency_tables(jobs, cfg);
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, SimTime::ZERO)).collect();
-    let heur = provision(&models, &meta, cfg.racks, Objective::Makespan).objective_value;
+    let pins = vec![None; meta.len()];
+    let heur = provision(
+        &models,
+        &meta,
+        &pins,
+        cfg.racks,
+        Objective::Makespan,
+        ProvisionMode::Exhaustive,
+    )
+    .objective_value;
     let lp = batch_lower_bound(&tables, cfg.racks).expect("LP solve");
     (heur, lp, (heur - lp) / lp * 100.0)
 }
@@ -50,17 +59,20 @@ pub fn heuristic_variants(
 ) -> (f64, f64) {
     let (models, _) = latency_tables(jobs, cfg);
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
-    let full = provision_with_mode(
+    let pins = vec![None; meta.len()];
+    let full = provision(
         &models,
         &meta,
+        &pins,
         cfg.racks,
         objective,
         ProvisionMode::Exhaustive,
     )
     .objective_value;
-    let early = provision_with_mode(
+    let early = provision(
         &models,
         &meta,
+        &pins,
         cfg.racks,
         objective,
         ProvisionMode::EarlyStop,
@@ -77,7 +89,15 @@ pub fn online_gap(
 ) -> (f64, f64, f64) {
     let (models, tables) = latency_tables(jobs, cfg);
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
-    let out = provision(&models, &meta, cfg.racks, Objective::AvgCompletionTime);
+    let pins = vec![None; meta.len()];
+    let out = provision(
+        &models,
+        &meta,
+        &pins,
+        cfg.racks,
+        Objective::AvgCompletionTime,
+        ProvisionMode::Exhaustive,
+    );
     let heur = out.objective_value;
     let horizon = out
         .schedule

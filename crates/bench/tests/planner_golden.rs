@@ -1,36 +1,42 @@
-//! Golden determinism contract of the planner fast path (ISSUE 5), the
-//! planner twin of `fabric_golden.rs`:
+//! Golden determinism contract of the planner, the planner twin of
+//! `fabric_golden.rs`:
 //!
 //! 1. The offline planner on a fixed workload reproduces *embedded*
 //!    bit-level fingerprints for both objectives — catching any change to
 //!    the provisioning trajectory, the prioritization arithmetic, or the
 //!    objective fold, not just gross regressions.
-//! 2. The pooled planner at `--jobs 1` vs `--jobs 8` produces
-//!    byte-identical plan CSVs on the two planning shapes the experiments
-//!    rerun hottest: the replan-shaped pinned problem (§3.1) and the
-//!    fig13b-shaped forecast problem (plan on perturbed arrivals).
-//! 3. The pooled planner agrees with the frozen reference oracle on
-//!    objective bits, rack counts and candidate counts — on the golden
-//!    workload and on four larger cells (three synthetic scales and a
-//!    replan-shaped W1 problem) whose candidate counts are golden too.
+//! 2. The planner agrees with the frozen reference oracle
+//!    (`crates/core/tests/support/provision_reference.rs`) on objective
+//!    bits, rack counts and candidate counts — on the golden workload, on
+//!    the two planning shapes the experiments rerun hottest (the
+//!    replan-shaped pinned problem of §3.1 and the fig13b-shaped forecast
+//!    problem, planned on perturbed arrivals), and on four larger cells
+//!    (three synthetic scales and a replan-shaped W1 problem) whose
+//!    candidate counts are golden too.
+//! 3. The planner run in cells of a sweep pool at `--jobs 1` and
+//!    `--jobs 8` produces byte-identical plan CSVs on the replan-shaped
+//!    and fig13b-shaped problems.
 //!
 //! The fingerprints and counts are asserted with the actual values in the
 //! panic message; after an *intentional* planner change, rerun and paste
 //! the printed values.
 
+#[path = "../../core/tests/support/provision_reference.rs"]
+mod provision_reference;
+
 use corral_bench::experiments::workload_online;
 use corral_bench::runner::RunConfig;
 use corral_core::planner::perturb_arrivals;
-use corral_core::provision::{provision_reference, ProvisionMode};
+use corral_core::provision::ProvisionMode;
 use corral_core::{
-    plan_jobs, plan_jobs_pinned, plan_jobs_pinned_pooled, LatencyModel, Objective, Plan,
-    PlannerConfig, ResponseOptions,
+    plan_jobs, plan_jobs_pinned, LatencyModel, Objective, Plan, PlannerConfig, ResponseOptions,
 };
 use corral_model::{
     Bandwidth, Bytes, ClusterConfig, JobId, JobSpec, MapReduceProfile, RackId, SimTime,
 };
 use corral_sweep::SweepPool;
 use corral_workloads::{assign_uniform_arrivals, w1, Scale};
+use provision_reference::provision_reference;
 use std::collections::BTreeMap;
 
 /// `(objective label, objective_value bits, FNV-1a of the plan CSV)`.
@@ -127,6 +133,39 @@ fn replan_pins(
         .collect()
 }
 
+/// Plans `jobs` in several cells of a sweep pool at `--jobs 1` and
+/// `--jobs 8` and asserts every cell's plan is byte-identical to the plan
+/// built outside any pool: the planner keeps no state that leaks between
+/// concurrent cells or depends on the worker thread it runs on.
+fn assert_identical_across_pool_sizes(
+    cfg: &ClusterConfig,
+    jobs: &[JobSpec],
+    objective: Objective,
+    pins: &BTreeMap<JobId, Vec<RackId>>,
+) {
+    let pc = PlannerConfig::default();
+    let serial = plan_jobs_pinned(cfg, jobs, objective, &pc, pins);
+    for pool_jobs in [1, 8] {
+        let pool = SweepPool::new(pool_jobs).progress(false);
+        let pooled = pool.run_all(8, |_| plan_jobs_pinned(cfg, jobs, objective, &pc, pins));
+        for (cell, plan) in pooled.iter().enumerate() {
+            assert_eq!(
+                &serial, plan,
+                "{objective:?} --jobs {pool_jobs} cell {cell}: plans diverge"
+            );
+            assert_eq!(
+                serial.to_csv(),
+                plan.to_csv(),
+                "{objective:?} --jobs {pool_jobs} cell {cell}: plan CSV bytes diverge"
+            );
+            assert_eq!(
+                serial.provision_stats.candidates, plan.provision_stats.candidates,
+                "{objective:?} --jobs {pool_jobs} cell {cell}: candidate counts diverge"
+            );
+        }
+    }
+}
+
 #[test]
 fn replan_shaped_plan_is_identical_across_pool_sizes() {
     let cfg = cluster();
@@ -142,23 +181,7 @@ fn replan_shaped_plan_is_identical_across_pool_sizes() {
         !pins.is_empty() && pins.len() < jobs.len(),
         "shape check: the replan problem must mix pinned and free jobs"
     );
-    let pc = PlannerConfig::default();
-    let serial = plan_jobs_pinned(&cfg, &jobs, Objective::AvgCompletionTime, &pc, &pins);
-    for pool_jobs in [1, 8] {
-        let pool = SweepPool::new(pool_jobs).progress(false);
-        let pooled =
-            plan_jobs_pinned_pooled(&pool, &cfg, &jobs, Objective::AvgCompletionTime, &pc, &pins);
-        assert_eq!(serial, pooled, "--jobs {pool_jobs}: plans diverge");
-        assert_eq!(
-            serial.to_csv(),
-            pooled.to_csv(),
-            "--jobs {pool_jobs}: plan CSV bytes diverge"
-        );
-        assert_eq!(
-            serial.provision_stats.candidates, pooled.provision_stats.candidates,
-            "--jobs {pool_jobs}: candidate counts diverge"
-        );
-    }
+    assert_identical_across_pool_sizes(&cfg, &jobs, Objective::AvgCompletionTime, &pins);
 }
 
 #[test]
@@ -166,25 +189,9 @@ fn fig13b_shaped_plan_is_identical_across_pool_sizes() {
     // Fig 13b plans on *perturbed* arrivals (the planner's forecast is
     // wrong) and both objectives appear across the sweep; cover each.
     let cfg = cluster();
-    let jobs = golden_jobsets();
-    let forecast = perturb_arrivals(&jobs, 0.5, SimTime::minutes(2.0), 0xF13B);
-    let pc = PlannerConfig::default();
-    let no_pins = BTreeMap::new();
+    let forecast = perturb_arrivals(&golden_jobsets(), 0.5, SimTime::minutes(2.0), 0xF13B);
     for objective in [Objective::Makespan, Objective::AvgCompletionTime] {
-        let serial = plan_jobs(&cfg, &forecast, objective, &pc);
-        for pool_jobs in [1, 8] {
-            let pool = SweepPool::new(pool_jobs).progress(false);
-            let pooled = plan_jobs_pinned_pooled(&pool, &cfg, &forecast, objective, &pc, &no_pins);
-            assert_eq!(
-                serial, pooled,
-                "{objective:?} --jobs {pool_jobs}: plans diverge"
-            );
-            assert_eq!(
-                serial.to_csv(),
-                pooled.to_csv(),
-                "{objective:?} --jobs {pool_jobs}: plan CSV bytes diverge"
-            );
-        }
+        assert_identical_across_pool_sizes(&cfg, &forecast, objective, &BTreeMap::new());
     }
 }
 
@@ -251,18 +258,33 @@ fn synthetic(label: &'static str, jobs: usize, racks: usize, seed: u64, golden: 
 }
 
 /// Every problem the oracle check runs: the golden workload under both
-/// objectives, three synthetic scales, and the W1 online workload
-/// re-planned mid-horizon — jobs arriving in the first half hour stay
-/// pinned to their forecast racks and sit out the widening loop.
+/// objectives, its replan-shaped pinned re-plan, its fig13b-shaped
+/// forecast (both objectives — both appear across the fig13b sweep),
+/// three synthetic scales, and the W1 online workload re-planned
+/// mid-horizon — jobs arriving in the first half hour stay pinned to
+/// their forecast racks and sit out the widening loop.
 fn problems() -> Vec<Problem> {
-    let golden = |label, objective| Problem {
+    let small = |label, jobs, objective, pins| Problem {
         label,
         cfg: cluster(),
-        jobs: golden_jobsets(),
+        jobs,
         objective,
-        pins: BTreeMap::new(),
+        pins,
         golden_candidates: None,
     };
+    let golden = |label, objective| small(label, golden_jobsets(), objective, BTreeMap::new());
+    let golden_pins = replan_pins(
+        &cluster(),
+        &golden_jobsets(),
+        SimTime::minutes(2.0),
+        0x8E,
+        SimTime::minutes(2.5),
+    );
+    assert!(
+        !golden_pins.is_empty() && golden_pins.len() < golden_jobsets().len(),
+        "shape check: the replan problem must mix pinned and free jobs"
+    );
+    let forecast = perturb_arrivals(&golden_jobsets(), 0.5, SimTime::minutes(2.0), 0xF13B);
     let rc = RunConfig::testbed(Objective::AvgCompletionTime);
     let w1 = workload_online("W1", 0x1);
     let pins = replan_pins(
@@ -275,6 +297,24 @@ fn problems() -> Vec<Problem> {
     vec![
         golden("golden-makespan", Objective::Makespan),
         golden("golden-avgjct", Objective::AvgCompletionTime),
+        small(
+            "replan-golden",
+            golden_jobsets(),
+            Objective::AvgCompletionTime,
+            golden_pins,
+        ),
+        small(
+            "fig13b-makespan",
+            forecast.clone(),
+            Objective::Makespan,
+            BTreeMap::new(),
+        ),
+        small(
+            "fig13b-avgjct",
+            forecast,
+            Objective::AvgCompletionTime,
+            BTreeMap::new(),
+        ),
         synthetic("small", 24, 7, 0x91A_0001, 145),
         synthetic("medium", 96, 14, 0x91A_0002, 1249),
         synthetic("large", 256, 24, 0x91A_0003, 5889),
@@ -291,13 +331,12 @@ fn problems() -> Vec<Problem> {
 
 #[test]
 fn planner_agrees_with_frozen_reference_oracle_on_golden_workload() {
-    // End-to-end: the plan the pooled fast path builds scores exactly what
-    // the frozen reference provisioner computes on the same inputs.
+    // End-to-end: the plan the fast path builds scores exactly what the
+    // frozen reference provisioner computes on the same inputs.
     let pc = PlannerConfig::default();
-    let pool = SweepPool::new(2).progress(false);
     for p in problems() {
         let label = p.label;
-        let plan = plan_jobs_pinned_pooled(&pool, &p.cfg, &p.jobs, p.objective, &pc, &p.pins);
+        let plan = plan_jobs_pinned(&p.cfg, &p.jobs, p.objective, &pc, &p.pins);
         let models: Vec<LatencyModel> = p
             .jobs
             .iter()

@@ -19,10 +19,9 @@ use corral_sweep::SweepPool;
 use corral_trace::probe::{self, SpanKind};
 use corral_workloads::{assign_uniform_arrivals, w1, Scale};
 
-const REQUIRED_SPANS: [SpanKind; 9] = [
+const REQUIRED_SPANS: [SpanKind; 8] = [
     SpanKind::FabricRecompute,
     SpanKind::FabricMaxMin,
-    SpanKind::CandidateEnum,
     SpanKind::CandidateScore,
     SpanKind::Provision,
     SpanKind::PlanDecision,

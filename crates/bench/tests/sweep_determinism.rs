@@ -173,7 +173,6 @@ fn poisoned_cell_is_isolated() {
             assert_eq!(report.scheduler, Variant::ALL[i].label());
         }
     }
-    let counters = pool.counters();
-    assert_eq!(counters.get("sweep.cells_done"), (nv - 1) as u64);
-    assert_eq!(counters.get("sweep.cells_failed"), 1);
+    assert_eq!(pool.cells_done(), (nv - 1) as u64);
+    assert_eq!(pool.cells_failed(), 1);
 }

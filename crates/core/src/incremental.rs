@@ -231,7 +231,7 @@ impl IncrementalPlanner {
             .iter()
             .map(|j| pinned.get(&j.id).cloned())
             .collect();
-        let plan = plan_with_models(None, &models, &meta, &pins, self.cfg.racks, self.objective);
+        let plan = plan_with_models(&models, &meta, &pins, self.cfg.racks, self.objective);
         (
             plan,
             ReplanStats {

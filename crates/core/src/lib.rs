@@ -17,15 +17,21 @@
 //!    data-imbalance penalty `α·D_I/r` of §4.5. DAG jobs are handled by
 //!    modeling every stage as a MapReduce-like unit and summing the DAG's
 //!    critical path ([`latency::dag_latency`]).
-//! 2. [`provision`](mod@provision) — the *provisioning phase* (§4.2): starting from one
-//!    rack per job, repeatedly widen the currently-longest job, generating
-//!    `J·R` candidate allocations.
+//! 2. [`provision`](mod@provision) — the *provisioning phase* (§4.2): one
+//!    serial loop that starts from one rack per job, repeatedly widens the
+//!    currently-longest job (a heap replaces the per-step scan), scores
+//!    each of the `J·(R−1)` candidate allocations at once with the
+//!    prioritization phase under the chosen [`objective::Objective`], and
+//!    keeps the first strict minimum. Its pre-optimization twin is the
+//!    bit-level oracle, kept in test code
+//!    (`crates/core/tests/support/provision_reference.rs`).
 //! 3. [`prioritize`] — the *prioritization phase* (Fig. 4): an extension of
 //!    LPT/LIST scheduling that places widest-jobs-first onto the racks that
 //!    free up earliest, producing rack sets `Rj` and start times `Tj`.
-//! 4. [`planner`] — ties 2 and 3 together: evaluates every candidate
-//!    allocation under the chosen [`objective::Objective`] and
-//!    returns the best [`plan::Plan`].
+//! 4. [`planner`] — builds the latency models, runs 2 (which calls 3) and
+//!    turns the winning schedule into a [`plan::Plan`] with priorities
+//!    ranked by planned start; [`incremental`] is its resident-service
+//!    twin, which reuses latency tables across replans.
 //!
 //! Two auxiliary components round out the paper's toolbox:
 //!
@@ -53,12 +59,7 @@ pub use incremental::{profile_fingerprint, IncrementalPlanner, ReplanKind, Repla
 pub use latency::{dag_latency, mr_latency, LatencyModel, ResponseOptions};
 pub use objective::Objective;
 pub use plan::{Plan, PlanEntry};
-pub use planner::{
-    plan_jobs, plan_jobs_pinned, plan_jobs_pinned_pooled, plan_jobs_with_tracer, PlannerConfig,
-};
+pub use planner::{plan_jobs, plan_jobs_pinned, plan_jobs_with_tracer, PlannerConfig};
 pub use predict::{HistoryPoint, Predictor};
-pub use prioritize::{prioritize_jobs, schedule_value, PlannerScratch, PrioritizeJob};
-pub use provision::{
-    provision, provision_pinned, provision_pinned_pooled, provision_reference, provision_with_mode,
-    validate_pins, ProvisionMode, ProvisionStats,
-};
+pub use prioritize::{prioritize_jobs, PlannerScratch, PrioritizeJob};
+pub use provision::{provision, validate_pins, ProvisionMode, ProvisionStats};

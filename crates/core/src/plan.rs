@@ -42,9 +42,9 @@ pub struct Plan {
 }
 
 /// Equality is over the *schedule* (entries + objective value), not the
-/// diagnostic cost counters: `scratch_grows` depends on which threads
-/// scored candidates, and two bit-identical plans computed on different
-/// pool sizes must compare equal.
+/// diagnostic cost counters: `scratch_grows` depends on what ran on the
+/// planning thread before, and two bit-identical plans must compare
+/// equal whatever that was.
 impl PartialEq for Plan {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries && self.objective_value == other.objective_value

@@ -4,9 +4,7 @@
 use crate::latency::{LatencyModel, ResponseOptions};
 use crate::objective::Objective;
 use crate::plan::{Plan, PlanEntry};
-use crate::provision::{
-    provision_pinned, provision_pinned_pooled, ProvisionMode, ProvisionOutcome,
-};
+use crate::provision::{provision, ProvisionMode};
 use corral_model::{ClusterConfig, JobSpec, RackId, SimTime};
 use std::collections::BTreeMap;
 
@@ -83,33 +81,6 @@ pub fn plan_jobs_pinned(
     planner: &PlannerConfig,
     pinned: &BTreeMap<corral_model::JobId, Vec<RackId>>,
 ) -> Plan {
-    plan_jobs_pinned_impl(None, cfg, jobs, objective, planner, pinned)
-}
-
-/// [`plan_jobs_pinned`] with candidate scoring parallelized on `pool`
-/// ([`crate::provision::provision_pinned_pooled`]) — bit-identical to the
-/// serial planner whatever the pool's worker count. Do not call from
-/// inside a sweep cell: cells already run one-per-worker, and a nested
-/// pool would oversubscribe the host.
-pub fn plan_jobs_pinned_pooled(
-    pool: &corral_sweep::SweepPool,
-    cfg: &ClusterConfig,
-    jobs: &[JobSpec],
-    objective: Objective,
-    planner: &PlannerConfig,
-    pinned: &BTreeMap<corral_model::JobId, Vec<RackId>>,
-) -> Plan {
-    plan_jobs_pinned_impl(Some(pool), cfg, jobs, objective, planner, pinned)
-}
-
-fn plan_jobs_pinned_impl(
-    pool: Option<&corral_sweep::SweepPool>,
-    cfg: &ClusterConfig,
-    jobs: &[JobSpec],
-    objective: Objective,
-    planner: &PlannerConfig,
-    pinned: &BTreeMap<corral_model::JobId, Vec<RackId>>,
-) -> Plan {
     // Per-plan decision latency: the histogram `corral-serve` will
     // report against (probe layer, host wall-clock, observability only).
     let _probe = corral_trace::probe::span(corral_trace::probe::SpanKind::PlanDecision);
@@ -123,7 +94,7 @@ fn plan_jobs_pinned_impl(
         .iter()
         .map(|j| pinned.get(&j.id).cloned())
         .collect();
-    plan_with_models(pool, &models, &meta, &pins, cfg.racks, objective)
+    plan_with_models(&models, &meta, &pins, cfg.racks, objective)
 }
 
 /// Provisioning + prioritization + plan assembly over prebuilt latency
@@ -132,32 +103,20 @@ fn plan_jobs_pinned_impl(
 /// incremental planner is bit-identical to the batch oracle by
 /// construction (its only delta is *where the models come from*).
 pub(crate) fn plan_with_models(
-    pool: Option<&corral_sweep::SweepPool>,
     models: &[LatencyModel],
     meta: &[(corral_model::JobId, SimTime)],
     pins: &[Option<Vec<RackId>>],
     total_racks: usize,
     objective: Objective,
 ) -> Plan {
-    let outcome: ProvisionOutcome = match pool {
-        Some(pool) => provision_pinned_pooled(
-            pool,
-            models,
-            meta,
-            pins,
-            total_racks,
-            objective,
-            ProvisionMode::Exhaustive,
-        ),
-        None => provision_pinned(
-            models,
-            meta,
-            pins,
-            total_racks,
-            objective,
-            ProvisionMode::Exhaustive,
-        ),
-    };
+    let outcome = provision(
+        models,
+        meta,
+        pins,
+        total_racks,
+        objective,
+        ProvisionMode::Exhaustive,
+    );
 
     // Priorities: rank by planned start time (earlier start = higher
     // priority = smaller number), ties by job id.

@@ -18,9 +18,11 @@ use crate::objective::Objective;
 use corral_model::{JobId, RackId, SimTime};
 use std::cmp::Ordering;
 
-/// One job's input to the prioritization phase.
-#[derive(Debug, Clone, Default)]
-pub struct PrioritizeInput {
+/// One job's input to the prioritization phase. Pins are borrowed: the
+/// provisioning loop re-scores thousands of candidate allocations
+/// against the same pin sets, and scoring a candidate clones nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrioritizeJob<'a> {
     /// Job identity (carried through to the output).
     pub job: JobId,
     /// Number of racks `r_j` chosen by the provisioning phase.
@@ -32,39 +34,7 @@ pub struct PrioritizeInput {
     /// Specific racks the job *must* use (its data already lives there —
     /// the replanning case, §3.1). Empty = the algorithm chooses freely;
     /// non-empty overrides `racks`.
-    pub pinned: Vec<RackId>,
-}
-
-/// One job's input to the prioritization phase, with pins *borrowed*
-/// rather than owned. The provisioning loop re-scores thousands of
-/// candidate allocations against the same pin sets; cloning every pin per
-/// candidate (the old [`PrioritizeInput`]-based path) dominated the
-/// planner's allocation profile.
-#[derive(Debug, Clone, Copy)]
-pub struct PrioritizeJob<'a> {
-    /// Job identity (carried through to the output).
-    pub job: JobId,
-    /// Number of racks `r_j` chosen by the provisioning phase.
-    pub racks: usize,
-    /// Estimated latency `L_j(r_j)` at that allocation.
-    pub latency: SimTime,
-    /// Arrival time `A_j` (zero in the batch scenario).
-    pub arrival: SimTime,
-    /// Racks the job *must* use (see [`PrioritizeInput::pinned`]).
     pub pinned: &'a [RackId],
-}
-
-impl<'a> PrioritizeJob<'a> {
-    /// Borrowing view of an owned input.
-    pub fn of(inp: &'a PrioritizeInput) -> Self {
-        PrioritizeJob {
-            job: inp.job,
-            racks: inp.racks,
-            latency: inp.latency,
-            arrival: inp.arrival,
-            pinned: &inp.pinned,
-        }
-    }
 }
 
 /// The job-ordering rule of §4.2 — batch: widest first, then longest
@@ -104,29 +74,18 @@ pub struct ScheduledJob {
 /// priority order.
 ///
 /// ```
-/// use corral_core::prioritize::{prioritize, PrioritizeInput};
+/// use corral_core::prioritize::{prioritize_jobs, PrioritizeJob};
 /// use corral_model::{JobId, SimTime};
 ///
-/// let jobs = vec![
-///     PrioritizeInput { job: JobId(0), racks: 2, latency: SimTime(10.0), ..Default::default() },
-///     PrioritizeInput { job: JobId(1), racks: 1, latency: SimTime(4.0), ..Default::default() },
+/// let jobs = [
+///     PrioritizeJob { job: JobId(0), racks: 2, latency: SimTime(10.0), ..Default::default() },
+///     PrioritizeJob { job: JobId(1), racks: 1, latency: SimTime(4.0), ..Default::default() },
 /// ];
-/// let schedule = prioritize(&jobs, 2, false);
+/// let schedule = prioritize_jobs(&jobs, 2, false);
 /// // Widest-first: the 2-rack job starts at t=0; the 1-rack job follows.
 /// let wide = schedule.iter().find(|s| s.job == JobId(0)).unwrap();
 /// assert_eq!(wide.start, SimTime(0.0));
 /// ```
-pub fn prioritize(
-    inputs: &[PrioritizeInput],
-    total_racks: usize,
-    online: bool,
-) -> Vec<ScheduledJob> {
-    let jobs: Vec<PrioritizeJob<'_>> = inputs.iter().map(PrioritizeJob::of).collect();
-    prioritize_jobs(&jobs, total_racks, online)
-}
-
-/// [`prioritize`] over borrowed-pin inputs — the form the provisioning
-/// loop uses so that re-scoring a candidate never clones a pin set.
 pub fn prioritize_jobs(
     jobs: &[PrioritizeJob<'_>],
     total_racks: usize,
@@ -226,8 +185,8 @@ impl PlannerScratch {
 /// `objective` over the planned `(arrival, finish)` pairs in schedule
 /// order. Bit-identical to
 /// `objective.evaluate_iter(prioritize_jobs(..).iter() pairs)` — the
-/// randomized property test over [`crate::provision::provision_reference`]
-/// holds the two paths together.
+/// randomized property test against the reference provisioning oracle
+/// (`crates/core/tests/prop_provision.rs`) holds the two paths together.
 ///
 /// `job(i)` returns job `i`'s view for this candidate (`0 <= i < n`); it
 /// is called repeatedly (including inside the sort comparator), so it must
@@ -326,35 +285,17 @@ where
     }
 }
 
-/// [`schedule_value_with`] over a materialized job slice.
-pub fn schedule_value(
-    jobs: &[PrioritizeJob<'_>],
-    total_racks: usize,
-    online: bool,
-    objective: Objective,
-    scratch: &mut PlannerScratch,
-) -> f64 {
-    schedule_value_with(
-        jobs.len(),
-        |i| jobs[i],
-        total_racks,
-        online,
-        objective,
-        scratch,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn inp(job: u32, racks: usize, latency: f64, arrival: f64) -> PrioritizeInput {
-        PrioritizeInput {
+    fn inp(job: u32, racks: usize, latency: f64, arrival: f64) -> PrioritizeJob<'static> {
+        PrioritizeJob {
             job: JobId(job),
             racks,
             latency: SimTime(latency),
             arrival: SimTime(arrival),
-            pinned: Vec::new(),
+            pinned: &[],
         }
     }
 
@@ -362,7 +303,7 @@ mod tests {
     fn widest_job_goes_first_in_batch() {
         // A 3-rack job and a 1-rack job on a 3-rack cluster: wide job first,
         // narrow job after it — no "hole".
-        let s = prioritize(&[inp(0, 1, 10.0, 0.0), inp(1, 3, 5.0, 0.0)], 3, false);
+        let s = prioritize_jobs(&[inp(0, 1, 10.0, 0.0), inp(1, 3, 5.0, 0.0)], 3, false);
         let wide = s.iter().find(|x| x.job == JobId(1)).unwrap();
         let narrow = s.iter().find(|x| x.job == JobId(0)).unwrap();
         assert_eq!(wide.start, SimTime(0.0));
@@ -375,7 +316,7 @@ mod tests {
     fn narrow_jobs_pack_onto_distinct_racks() {
         // Three 1-rack jobs on 3 racks all start immediately on different
         // racks (earliest-free, tie by rack id).
-        let s = prioritize(
+        let s = prioritize_jobs(
             &[
                 inp(0, 1, 10.0, 0.0),
                 inp(1, 1, 8.0, 0.0),
@@ -396,7 +337,7 @@ mod tests {
     #[test]
     fn lpt_breaks_ties_among_equal_width() {
         // Equal width, the longer job is placed first (starts no later).
-        let s = prioritize(&[inp(0, 2, 5.0, 0.0), inp(1, 2, 50.0, 0.0)], 2, false);
+        let s = prioritize_jobs(&[inp(0, 2, 5.0, 0.0), inp(1, 2, 50.0, 0.0)], 2, false);
         let long = s.iter().find(|x| x.job == JobId(1)).unwrap();
         let short = s.iter().find(|x| x.job == JobId(0)).unwrap();
         assert_eq!(long.start, SimTime::ZERO);
@@ -405,7 +346,7 @@ mod tests {
 
     #[test]
     fn online_respects_arrivals() {
-        let s = prioritize(&[inp(0, 1, 10.0, 100.0), inp(1, 1, 10.0, 0.0)], 1, true);
+        let s = prioritize_jobs(&[inp(0, 1, 10.0, 100.0), inp(1, 1, 10.0, 0.0)], 1, true);
         let early = s.iter().find(|x| x.job == JobId(1)).unwrap();
         let late = s.iter().find(|x| x.job == JobId(0)).unwrap();
         assert_eq!(early.start, SimTime(0.0));
@@ -415,7 +356,7 @@ mod tests {
 
     #[test]
     fn oversized_request_is_clamped() {
-        let s = prioritize(&[inp(0, 10, 5.0, 0.0)], 3, false);
+        let s = prioritize_jobs(&[inp(0, 10, 5.0, 0.0)], 3, false);
         assert_eq!(s[0].racks.len(), 3);
     }
 
@@ -424,16 +365,16 @@ mod tests {
         // Job 0 pinned to rack 2; job 1 free. The free job takes the
         // earliest-available rack (0), the pinned one waits for rack 2.
         let mut pinned = inp(0, 1, 5.0, 0.0);
-        pinned.pinned = vec![RackId(2)];
-        let s = prioritize(&[pinned, inp(1, 1, 9.0, 0.0)], 3, false);
+        pinned.pinned = &[RackId(2)];
+        let s = prioritize_jobs(&[pinned, inp(1, 1, 9.0, 0.0)], 3, false);
         let p = s.iter().find(|x| x.job == JobId(0)).unwrap();
         assert_eq!(p.racks, vec![RackId(2)]);
         // Two pinned jobs on the same rack serialize.
         let mut a = inp(0, 1, 5.0, 0.0);
-        a.pinned = vec![RackId(1)];
+        a.pinned = &[RackId(1)];
         let mut b = inp(1, 1, 7.0, 0.0);
-        b.pinned = vec![RackId(1)];
-        let s = prioritize(&[a, b], 3, false);
+        b.pinned = &[RackId(1)];
+        let s = prioritize_jobs(&[a, b], 3, false);
         let t0 = s.iter().find(|x| x.job == JobId(0)).unwrap();
         let t1 = s.iter().find(|x| x.job == JobId(1)).unwrap();
         let (first, second) = if t0.start < t1.start {
@@ -449,7 +390,7 @@ mod tests {
         // 2 racks; jobs: (2 racks, 4s), (1 rack, 3s), (1 rack, 2s).
         // Wide first: finishes at 4 on both racks. Then 3s on rack 0 (F=7),
         // 2s on rack 1 (F=6). Makespan 7.
-        let s = prioritize(
+        let s = prioritize_jobs(
             &[
                 inp(0, 1, 3.0, 0.0),
                 inp(1, 2, 4.0, 0.0),
@@ -464,8 +405,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_permutation_of_equal_jobs() {
-        let a = prioritize(&[inp(0, 1, 5.0, 0.0), inp(1, 1, 5.0, 0.0)], 2, false);
-        let b = prioritize(&[inp(1, 1, 5.0, 0.0), inp(0, 1, 5.0, 0.0)], 2, false);
+        let a = prioritize_jobs(&[inp(0, 1, 5.0, 0.0), inp(1, 1, 5.0, 0.0)], 2, false);
+        let b = prioritize_jobs(&[inp(1, 1, 5.0, 0.0), inp(0, 1, 5.0, 0.0)], 2, false);
         let key = |v: &[ScheduledJob]| {
             let mut k: Vec<(JobId, Vec<RackId>, u64)> = v
                 .iter()

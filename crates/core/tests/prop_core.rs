@@ -5,8 +5,8 @@ use corral_core::latency::{LatencyModel, ResponseOptions};
 use corral_core::lp::batch_lower_bound;
 use corral_core::lp::simplex::{LinearProgram, LpOutcome, Relation};
 use corral_core::predict::{HistoryPoint, Predictor};
-use corral_core::prioritize::{prioritize, PrioritizeInput};
-use corral_core::provision::provision;
+use corral_core::prioritize::{prioritize_jobs, PrioritizeJob};
+use corral_core::provision::{provision, ProvisionMode};
 use corral_core::Objective;
 use corral_model::{Bandwidth, Bytes, ClusterConfig, JobId, JobProfile, MapReduceProfile, SimTime};
 use proptest::prelude::*;
@@ -68,18 +68,18 @@ proptest! {
         online in any::<bool>(),
     ) {
         let total_racks = 7;
-        let inputs: Vec<PrioritizeInput> = jobs
+        let inputs: Vec<PrioritizeJob> = jobs
             .iter()
             .enumerate()
-            .map(|(i, (r, l, a))| PrioritizeInput {
+            .map(|(i, (r, l, a))| PrioritizeJob {
                 job: JobId(i as u32),
                 racks: *r,
                 latency: SimTime(*l),
                 arrival: SimTime(*a),
-                pinned: Vec::new(),
+                pinned: &[],
             })
             .collect();
-        let sched = prioritize(&inputs, total_racks, online);
+        let sched = prioritize_jobs(&inputs, total_racks, online);
         prop_assert_eq!(sched.len(), inputs.len());
         let mut per_rack: Vec<Vec<(f64, f64)>> = vec![Vec::new(); total_racks];
         for s in &sched {
@@ -112,7 +112,9 @@ proptest! {
             .map(|m| (1..=cfg.racks).map(|r| m.latency(r).as_secs()).collect())
             .collect();
         let meta: Vec<_> = (0..profiles.len()).map(|i| (JobId(i as u32), SimTime::ZERO)).collect();
-        let heur = provision(&models, &meta, cfg.racks, Objective::Makespan).objective_value;
+        let pins = vec![None; meta.len()];
+        let heur = provision(&models, &meta, &pins, cfg.racks, Objective::Makespan, ProvisionMode::Exhaustive)
+            .objective_value;
         let lp = batch_lower_bound(&tables, cfg.racks).expect("lp optimal");
         prop_assert!(heur >= lp - 1e-6 * lp.max(1.0), "heur {heur} below LP {lp}");
     }

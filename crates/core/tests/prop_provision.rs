@@ -1,22 +1,23 @@
-//! The fast-path identity proof, executable form: the heap-enumerated,
-//! scratch-scored provisioning loop (serial and pooled) must reproduce
-//! [`provision_reference`] — the frozen pre-optimization implementation —
-//! **bit for bit**: same rack counts, same objective-value bits, same
-//! schedule (job, racks, start/finish/arrival bits), same candidate
-//! counts. Randomized over job counts, latency profiles, arrivals, pins
-//! (valid, duplicated, and out-of-range), both objectives and both
-//! exploration modes: 64 generated cases × 2 objectives × 2 modes = 256
-//! compared plans per run, against the ≥200-case bar of ISSUE 5.
+//! The fast-path identity proof, executable form: the heap-driven,
+//! scratch-scored provisioning loop must reproduce [`provision_reference`]
+//! — the frozen pre-optimization implementation — **bit for bit**: same
+//! rack counts, same objective-value bits, same schedule (job, racks,
+//! start/finish/arrival bits), same candidate counts. Randomized over job
+//! counts, latency profiles, arrivals, pins (valid, duplicated, and
+//! out-of-range), both objectives and both exploration modes: 64
+//! generated cases × 2 objectives × 2 modes = 256 compared plans per run.
+
+#[path = "support/provision_reference.rs"]
+mod provision_reference;
 
 use corral_core::latency::{LatencyModel, ResponseOptions};
-use corral_core::provision::{
-    provision_pinned, provision_pinned_pooled, provision_reference, ProvisionMode, ProvisionOutcome,
-};
+use corral_core::provision::{provision, ProvisionMode, ProvisionOutcome};
 use corral_core::Objective;
 use corral_model::{
     Bandwidth, Bytes, ClusterConfig, JobId, JobProfile, MapReduceProfile, RackId, SimTime,
 };
 use proptest::prelude::*;
+use provision_reference::provision_reference;
 
 /// One randomly generated planning problem.
 #[derive(Debug, Clone)]
@@ -123,21 +124,16 @@ proptest! {
 
     #[test]
     fn fast_path_is_bit_identical_to_reference(case in case_strategy()) {
-        let pool = corral_sweep::SweepPool::new(4).progress(false);
         for objective in [Objective::Makespan, Objective::AvgCompletionTime] {
             for mode in [ProvisionMode::Exhaustive, ProvisionMode::EarlyStop] {
                 let label = format!("{objective:?}/{mode:?}");
                 let reference = provision_reference(
                     &case.models, &case.jobs, &case.pins, case.racks, objective, mode,
                 );
-                let fast = provision_pinned(
+                let fast = provision(
                     &case.models, &case.jobs, &case.pins, case.racks, objective, mode,
                 );
-                assert_identical(&format!("serial {label}"), &reference, &fast);
-                let pooled = provision_pinned_pooled(
-                    &pool, &case.models, &case.jobs, &case.pins, case.racks, objective, mode,
-                );
-                assert_identical(&format!("pooled {label}"), &reference, &pooled);
+                assert_identical(&label, &reference, &fast);
             }
         }
     }

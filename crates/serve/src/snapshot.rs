@@ -18,7 +18,7 @@
 //! cold replan computes bit-identically (cache warmth affects speed and
 //! probe counters, never decisions).
 //!
-//! The body is integrity-protected: [`write`] appends a 128-bit FNV
+//! The body is integrity-protected: [`write()`] appends a 128-bit FNV
 //! checksum trailer over everything through the `end` marker, and
 //! [`read`] refuses a snapshot whose trailer is missing (truncated
 //! file) or does not match (bit rot, partial write) — a corrupted
@@ -27,7 +27,7 @@
 //! Queued specs ride the MapReduce CSV codec, so snapshots cover the
 //! `corral-sim serve` domain (MapReduce jobs — the JSONL wire format's
 //! own limit); a DAG job submitted through the in-process channel makes
-//! [`write`] return an error rather than a lossy snapshot.
+//! [`write()`] return an error rather than a lossy snapshot.
 
 use crate::error::ServeError;
 use crate::scheduler::{Active, Queued, Scheduler, ServeConfig, ServeStats};
@@ -215,7 +215,7 @@ fn verify_checksum(text: &str) -> Result<&str, ServeError> {
     Ok(body)
 }
 
-/// Rebuilds a scheduler from [`write`] output. The checksum trailer is
+/// Rebuilds a scheduler from [`write()`] output. The checksum trailer is
 /// verified before anything is parsed; `cfg` must fingerprint-match the
 /// snapshotting configuration; the planner and plan cache start cold
 /// (see module docs). The restored scheduler's stats carry on from the

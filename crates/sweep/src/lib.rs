@@ -18,9 +18,9 @@
 //!   so scheduling jitter cannot reorder output;
 //! * a panicking cell is isolated ([`CellFailure`] records its index and
 //!   panic message) instead of tearing down the whole sweep;
-//! * progress is reported live through a shared
-//!   [`corral_trace::CounterSet`] (`sweep.cells_*` counters), rendered
-//!   to stderr when it is a terminal.
+//! * progress is reported live through the pool's atomic cell counters
+//!   ([`SweepPool::cells_done`] and its siblings), rendered to stderr
+//!   when it is a terminal.
 //!
 //! The three layers:
 //!

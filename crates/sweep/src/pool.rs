@@ -14,11 +14,11 @@
 
 use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
-use corral_trace::{probe, CounterSet};
+use corral_trace::probe;
 
 /// A cell that panicked instead of producing a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,14 +37,6 @@ impl std::fmt::Display for CellFailure {
 
 /// Outcome of one cell: its value, or the recorded panic.
 pub type CellResult<T> = Result<T, CellFailure>;
-
-/// Counter names the pool maintains in its [`CounterSet`].
-pub const COUNTERS: [&str; 4] = [
-    "sweep.cells_total",
-    "sweep.cells_started",
-    "sweep.cells_done",
-    "sweep.cells_failed",
-];
 
 /// The number of worker threads to use when the caller does not say:
 /// the host's available parallelism (1 if it cannot be determined).
@@ -80,7 +72,11 @@ pub fn derive_seeds(base: u64, n: usize) -> Vec<u64> {
 pub struct SweepPool {
     jobs: usize,
     progress: bool,
-    counters: Arc<CounterSet>,
+    // Live progress counters, summed over every `run` on this pool.
+    cells_total: AtomicU64,
+    cells_started: AtomicU64,
+    cells_done: AtomicU64,
+    cells_failed: AtomicU64,
 }
 
 impl SweepPool {
@@ -90,7 +86,10 @@ impl SweepPool {
         SweepPool {
             jobs: if jobs == 0 { default_jobs() } else { jobs },
             progress: std::io::stderr().is_terminal(),
-            counters: Arc::new(CounterSet::new(&COUNTERS)),
+            cells_total: AtomicU64::new(0),
+            cells_started: AtomicU64::new(0),
+            cells_done: AtomicU64::new(0),
+            cells_failed: AtomicU64::new(0),
         }
     }
 
@@ -121,10 +120,24 @@ impl SweepPool {
         }
     }
 
-    /// The live counters (`sweep.cells_total/started/done/failed`) —
-    /// shareable with an external progress display.
-    pub fn counters(&self) -> Arc<CounterSet> {
-        self.counters.clone()
+    /// Cells submitted to this pool's runs so far.
+    pub fn cells_total(&self) -> u64 {
+        self.cells_total.load(Ordering::Relaxed)
+    }
+
+    /// Cells that have started executing.
+    pub fn cells_started(&self) -> u64 {
+        self.cells_started.load(Ordering::Relaxed)
+    }
+
+    /// Cells that have returned a value.
+    pub fn cells_done(&self) -> u64 {
+        self.cells_done.load(Ordering::Relaxed)
+    }
+
+    /// Cells that panicked.
+    pub fn cells_failed(&self) -> u64 {
+        self.cells_failed.load(Ordering::Relaxed)
     }
 
     /// Executes cells `0..n` of a sweep and returns their outcomes in
@@ -141,7 +154,7 @@ impl SweepPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.counters.add("sweep.cells_total", n as u64);
+        self.cells_total.fetch_add(n as u64, Ordering::Relaxed);
         let workers = self.effective_jobs(n);
         if workers == 1 {
             // Serial fast path (explicit `--jobs 1`, single-cell sweeps,
@@ -177,9 +190,9 @@ impl SweepPool {
                 // every cell has completed, then clears it.
                 s.spawn(|| {
                     while completed.load(Ordering::Acquire) < n {
-                        let done = self.counters.get("sweep.cells_done");
-                        let failed = self.counters.get("sweep.cells_failed");
-                        let total = self.counters.get("sweep.cells_total");
+                        let done = self.cells_done();
+                        let failed = self.cells_failed();
+                        let total = self.cells_total();
                         if failed > 0 {
                             eprint!("\r[sweep] {done}/{total} cells ({failed} failed)   ");
                         } else {
@@ -225,14 +238,14 @@ impl SweepPool {
         F: Fn(usize) -> T,
     {
         let _probe = probe::span(probe::SpanKind::SweepCell);
-        self.counters.inc("sweep.cells_started");
+        self.cells_started.fetch_add(1, Ordering::Relaxed);
         match catch_unwind(AssertUnwindSafe(|| f(i))) {
             Ok(v) => {
-                self.counters.inc("sweep.cells_done");
+                self.cells_done.fetch_add(1, Ordering::Relaxed);
                 Ok(v)
             }
             Err(payload) => {
-                self.counters.inc("sweep.cells_failed");
+                self.cells_failed.fetch_add(1, Ordering::Relaxed);
                 Err(CellFailure {
                     index: i,
                     message: panic_message(payload.as_ref()),
@@ -289,9 +302,10 @@ mod tests {
                 assert_eq!(*r.as_ref().unwrap(), i);
             }
         }
-        assert_eq!(pool.counters().get("sweep.cells_total"), 8);
-        assert_eq!(pool.counters().get("sweep.cells_done"), 7);
-        assert_eq!(pool.counters().get("sweep.cells_failed"), 1);
+        assert_eq!(pool.cells_total(), 8);
+        assert_eq!(pool.cells_started(), 8);
+        assert_eq!(pool.cells_done(), 7);
+        assert_eq!(pool.cells_failed(), 1);
     }
 
     #[test]

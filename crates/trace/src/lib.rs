@@ -9,8 +9,6 @@
 //!   [`MemTracer`] (ring buffer) and [`JsonlTracer`] (streaming JSONL);
 //! * [`metrics::MetricsRegistry`] — counters, sim-time-weighted gauges
 //!   and log-linear [`histogram::LogHistogram`]s (p50/p90/p99);
-//! * [`counters::CounterSet`] — shared *atomic* counters for
-//!   cross-thread progress (the sweep engine's live cell counts);
 //! * [`probe`] — *corral-probe*, host-side self-profiling of the
 //!   simulator's own hot paths (RAII spans, cause counters, latency
 //!   histograms), strictly outside the deterministic sim-trace stream;
@@ -28,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod event;
 pub mod histogram;
 pub mod json;
@@ -38,7 +35,6 @@ pub mod probe;
 pub mod summary;
 pub mod tracer;
 
-pub use counters::CounterSet;
 pub use event::{FlowClass, LocalityLevel, TraceEvent};
 pub use histogram::LogHistogram;
 pub use metrics::{MetricsRegistry, TimeWeightedGauge};

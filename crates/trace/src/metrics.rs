@@ -1,13 +1,11 @@
 //! A small metrics registry: named counters, sim-time-weighted gauges,
 //! and [`LogHistogram`]s, all behind `&mut` (the engine owns its
 //! registry; nothing here needs sharing). Keys are `&'static str` so the
-//! hot path never allocates; iteration order is the `BTreeMap`'s sorted
-//! order, making text dumps deterministic.
+//! hot path never allocates.
 
 use std::collections::BTreeMap;
 
 use crate::histogram::LogHistogram;
-use crate::json;
 
 /// A gauge integrated over simulation time: `set(t, v)` closes the
 /// previous level at `t`, so `time_avg(end)` is the exact time-weighted
@@ -124,77 +122,6 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
         self.histograms.get(name)
     }
-
-    /// Deterministic plain-text dump (sorted by metric name), one metric
-    /// per line — used by debug output and tests.
-    pub fn render_text(&self, end_t: f64) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            out.push_str(&format!("counter {name} {v}\n"));
-        }
-        for (name, g) in &self.gauges {
-            out.push_str(&format!(
-                "gauge {name} value {} time_avg {}\n",
-                g.value(),
-                g.time_avg(end_t).unwrap_or(0.0),
-            ));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!(
-                "histogram {name} count {} mean {} p50 {} p90 {} p99 {}\n",
-                h.count(),
-                h.mean().unwrap_or(0.0),
-                h.p50().unwrap_or(0.0),
-                h.p90().unwrap_or(0.0),
-                h.p99().unwrap_or(0.0),
-            ));
-        }
-        out
-    }
-
-    /// Deterministic JSON object mapping metric names to values (the
-    /// machine-readable sibling of [`MetricsRegistry::render_text`]).
-    pub fn render_json(&self, end_t: f64) -> String {
-        let mut out = String::new();
-        out.push('{');
-        out.push_str("\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_key(&mut out, name);
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, g)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_key(&mut out, name);
-            out.push('{');
-            json::push_key(&mut out, "value");
-            json::push_f64(&mut out, g.value());
-            json::field_opt_f64(&mut out, "time_avg", g.time_avg(end_t));
-            out.push('}');
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_key(&mut out, name);
-            out.push('{');
-            json::push_key(&mut out, "count");
-            out.push_str(&h.count().to_string());
-            json::field_opt_f64(&mut out, "mean", h.mean());
-            json::field_opt_f64(&mut out, "p50", h.p50());
-            json::field_opt_f64(&mut out, "p90", h.p90());
-            json::field_opt_f64(&mut out, "p99", h.p99());
-            out.push('}');
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -230,23 +157,5 @@ mod tests {
         // 1 over [0,5), 2 over [5,10), 0 after: avg over [0,10] = 1.5.
         let avg = r.gauge("busy").unwrap().time_avg(10.0).unwrap();
         assert!((avg - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn text_dump_is_sorted_and_complete() {
-        let mut r = MetricsRegistry::new();
-        r.inc("b_counter", 1);
-        r.inc("a_counter", 1);
-        r.observe("lat", 2.0);
-        r.gauge_set("load", 0.0, 1.0);
-        let text = r.render_text(1.0);
-        let a = text.find("a_counter").unwrap();
-        let b = text.find("b_counter").unwrap();
-        assert!(a < b);
-        assert!(text.contains("histogram lat count 1"));
-        assert!(text.contains("gauge load"));
-        let js = r.render_json(1.0);
-        assert!(js.starts_with('{') && js.ends_with('}'));
-        assert!(js.contains("\"a_counter\":1"));
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Everything else in this crate observes the *simulated* world; this
 //! module observes the *simulator*: where host wall-clock goes
-//! (`fabric::recompute`, max-min rounds, candidate enumeration and
-//! scoring, sweep cells, export) and why (recompute trigger kinds, heap
-//! pops, early stops, scratch growths, pool queue depth).
+//! (`fabric::recompute`, max-min rounds, planner provisioning and
+//! candidate scoring, sweep cells, export) and why (recompute trigger
+//! kinds, heap pops, early stops, scratch growths, pool queue depth).
 //!
 //! Design rules:
 //!
@@ -50,11 +50,10 @@ pub enum SpanKind {
     FabricRecompute = 0,
     /// The max-min water-filling allocation inside a recompute.
     FabricMaxMin,
-    /// Candidate-trajectory enumeration in `provision_fast`.
-    CandidateEnum,
-    /// Scoring one candidate allocation (runs on pool workers too).
+    /// Scoring one candidate allocation inside `provision`.
     CandidateScore,
-    /// One full `provision_fast` call (enumeration + scoring + argmin).
+    /// One full `provision` call (widening, scoring and the winning
+    /// schedule).
     Provision,
     /// One full `plan_jobs` decision (the per-plan latency histogram).
     PlanDecision,
@@ -75,10 +74,9 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in stable report order.
-    pub const ALL: [SpanKind; 11] = [
+    pub const ALL: [SpanKind; 10] = [
         SpanKind::FabricRecompute,
         SpanKind::FabricMaxMin,
-        SpanKind::CandidateEnum,
         SpanKind::CandidateScore,
         SpanKind::Provision,
         SpanKind::PlanDecision,
@@ -94,7 +92,6 @@ impl SpanKind {
         match self {
             SpanKind::FabricRecompute => "fabric.recompute",
             SpanKind::FabricMaxMin => "fabric.maxmin",
-            SpanKind::CandidateEnum => "planner.enumerate",
             SpanKind::CandidateScore => "planner.score",
             SpanKind::Provision => "planner.provision",
             SpanKind::PlanDecision => "planner.plan",
@@ -127,9 +124,9 @@ pub enum ProbeCounter {
     MaxMinRounds,
     /// Fabric CSR scratch footprint growths (reallocation events).
     FabricScratchGrow,
-    /// Candidate-heap pops in the enumeration trajectory.
+    /// Widening steps popped off the provisioning heap.
     HeapPops,
-    /// Enumerations cut short by the early-stop rule.
+    /// Provisioning loops cut short by the early-stop rule.
     EarlyStops,
     /// Planner per-thread scratch growths (reallocation events).
     PlannerScratchGrow,

@@ -5,7 +5,7 @@
 
 use corral::core::latency::{LatencyModel, ResponseOptions};
 use corral::core::lp::{batch_lower_bound, online_lower_bound};
-use corral::core::provision::provision;
+use corral::core::provision::{provision, ProvisionMode, ProvisionOutcome};
 use corral::prelude::*;
 use corral::workloads::{assign_uniform_arrivals, w1, w3, Scale};
 
@@ -22,6 +22,24 @@ fn tables(jobs: &[JobSpec], cfg: &ClusterConfig) -> (Vec<LatencyModel>, Vec<Vec<
     (models, t)
 }
 
+/// Unpinned, exhaustive provisioning on the whole cluster.
+fn plan(
+    models: &[LatencyModel],
+    meta: &[(JobId, SimTime)],
+    cfg: &ClusterConfig,
+    objective: Objective,
+) -> ProvisionOutcome {
+    let pins = vec![None; meta.len()];
+    provision(
+        models,
+        meta,
+        &pins,
+        cfg.racks,
+        objective,
+        ProvisionMode::Exhaustive,
+    )
+}
+
 #[test]
 fn batch_heuristic_within_modest_gap_of_lp() {
     let cfg = ClusterConfig::testbed_210();
@@ -35,7 +53,7 @@ fn batch_heuristic_within_modest_gap_of_lp() {
         );
         let (models, tabs) = tables(&jobs, &cfg);
         let meta: Vec<_> = jobs.iter().map(|j| (j.id, SimTime::ZERO)).collect();
-        let heur = provision(&models, &meta, cfg.racks, Objective::Makespan).objective_value;
+        let heur = plan(&models, &meta, &cfg, Objective::Makespan).objective_value;
         let lp = batch_lower_bound(&tabs, cfg.racks).expect("lp solves");
         assert!(lp > 0.0);
         assert!(heur >= lp - 1e-6, "LP must lower-bound: {heur} vs {lp}");
@@ -59,7 +77,7 @@ fn online_heuristic_bounded_by_time_indexed_lp() {
     assign_uniform_arrivals(&mut jobs, SimTime::minutes(10.0), 9);
     let (models, tabs) = tables(&jobs, &cfg);
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
-    let out = provision(&models, &meta, cfg.racks, Objective::AvgCompletionTime);
+    let out = plan(&models, &meta, &cfg, Objective::AvgCompletionTime);
     let horizon = out
         .schedule
         .iter()
@@ -102,7 +120,7 @@ fn lp_bound_tight_when_capacity_binds() {
         .collect();
     let (models, tabs) = tables(&jobs, &cfg);
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, SimTime::ZERO)).collect();
-    let heur = provision(&models, &meta, cfg.racks, Objective::Makespan).objective_value;
+    let heur = plan(&models, &meta, &cfg, Objective::Makespan).objective_value;
     let lp = batch_lower_bound(&tabs, cfg.racks).expect("lp solves");
     // Two identical jobs per rack, narrow is optimal: heuristic == 2·L(1)
     // and the LP capacity constraint forces the same value.
