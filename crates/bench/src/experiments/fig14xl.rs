@@ -45,6 +45,7 @@
 use crate::table;
 use corral_model::{Bytes, ClusterConfig, MachineId};
 use corral_simnet::{CoflowId, Fabric, FlowKind, FlowSpec, FlowTag, RatePolicy};
+use corral_trace::fnv::Fnv64;
 use std::time::Instant;
 
 /// Racks per traffic band: flows never leave their band, so each band is
@@ -349,14 +350,6 @@ enum Pass {
     Incremental,
 }
 
-fn fnv1a(h: u64, word: u64) -> u64 {
-    let mut h = h;
-    for b in word.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// One churn pass: fill to `concurrency`, replace each completion until
 /// `completions` events, timing the whole loop.
 fn run_once(c: &CellSpec, sizes: &[f64], pass: Pass) -> PassResult {
@@ -372,7 +365,7 @@ fn run_once(c: &CellSpec, sizes: &[f64], pass: Pass) -> PassResult {
     let mut seq = 0u64;
     let mut done = Vec::new();
     let mut events = 0u64;
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
+    let mut digest = Fnv64::new();
     let t0 = Instant::now();
     for _ in 0..c.concurrency {
         spawn_flow(&mut fab, c, sizes, &mut seq, &mut rng);
@@ -385,9 +378,9 @@ fn run_once(c: &CellSpec, sizes: &[f64], pass: Pass) -> PassResult {
         fab.advance_collect(tc, &mut done);
         events += done.len() as u64;
         for f in &done {
-            digest = fnv1a(digest, f.id.0);
-            digest = fnv1a(digest, f.finished.0.to_bits());
-            digest = fnv1a(digest, f.bytes.0.to_bits());
+            digest.u64(f.id.0);
+            digest.f64(f.finished.0);
+            digest.f64(f.bytes.0);
         }
         for _ in 0..done.len() {
             spawn_flow(&mut fab, c, sizes, &mut seq, &mut rng);
@@ -404,7 +397,7 @@ fn run_once(c: &CellSpec, sizes: &[f64], pass: Pass) -> PassResult {
             recomputes_full: st.recomputes_full,
             maxmin_rounds: st.maxmin_rounds,
             dirty_flows: st.dirty_flows,
-            digest,
+            digest: digest.finish(),
         },
         links,
     }

@@ -6,7 +6,7 @@
 //! negative on all three.
 
 use crate::experiments::workload_shared;
-use crate::runner::{run_variant_grid_shared, RunConfig, Variant};
+use crate::runner::{run_variant_grid, RunConfig, Variant};
 use crate::table;
 use corral_cluster::metrics::reduction_pct;
 use corral_core::Objective;
@@ -42,7 +42,7 @@ impl Fig6Row {
 pub fn run(workloads: &[&str]) -> Vec<Fig6Row> {
     let rc = RunConfig::testbed(Objective::Makespan);
     let jobsets: Vec<_> = workloads.iter().map(|&w| workload_shared(w)).collect();
-    let grid = run_variant_grid_shared(&jobsets, &rc);
+    let grid = run_variant_grid(&jobsets, &rc);
     let mut rows = Vec::new();
     for (&w, reports) in workloads.iter().zip(&grid) {
         let mut makespans = [0.0; 4];

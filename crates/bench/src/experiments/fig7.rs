@@ -10,7 +10,7 @@
 //! * bal: CoV of per-rack input bytes (Corral ≤ 0.004, HDFS ≈ 0.014).
 
 use crate::experiments::workload_shared;
-use crate::runner::{run_variant_grid_shared, RunConfig, Variant};
+use crate::runner::{run_variant_grid, RunConfig, Variant};
 use crate::table;
 use corral_cluster::metrics::{percentile, reduction_pct};
 use corral_core::Objective;
@@ -26,7 +26,7 @@ pub fn main() {
     let mut w1_reduce_cdfs: Vec<(String, Vec<f64>)> = Vec::new();
 
     let jobsets: Vec<_> = workloads.iter().map(|&w| workload_shared(w)).collect();
-    let grid = run_variant_grid_shared(&jobsets, &rc);
+    let grid = run_variant_grid(&jobsets, &rc);
     for (wi, w) in workloads.iter().enumerate() {
         for (vi, (v, r)) in Variant::ALL.iter().zip(&grid[wi]).enumerate() {
             cross[wi][vi] = r.cross_rack_bytes.0;

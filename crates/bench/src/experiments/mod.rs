@@ -57,18 +57,18 @@ pub fn w2_scale() -> Scale {
 /// jobs (arrival assignment) get their own clone via [`workload`];
 /// read-only sweeps should hold the [`workload_shared`] `Arc` instead.
 pub fn workload(name: &str) -> Vec<JobSpec> {
-    workload_shared(name).as_ref().clone()
+    workload_shared(name).to_vec()
 }
 
 /// [`workload`] without the defensive clone: the cached, immutable base
 /// jobset behind an `Arc`, cheap to share across the cells of a sweep
 /// grid (fig6, fig7 and fig14xl read it this way).
-pub fn workload_shared(name: &str) -> Arc<Vec<JobSpec>> {
-    static CACHE: OnceLock<Mutex<BTreeMap<String, Arc<Vec<JobSpec>>>>> = OnceLock::new();
+pub fn workload_shared(name: &str) -> Arc<[JobSpec]> {
+    static CACHE: OnceLock<Mutex<BTreeMap<String, Arc<[JobSpec]>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
     let mut map = cache.lock().unwrap();
     map.entry(name.to_string())
-        .or_insert_with(|| Arc::new(workload_uncached(name)))
+        .or_insert_with(|| workload_uncached(name).into())
         .clone()
 }
 

@@ -137,7 +137,9 @@ pub fn run_variant(v: Variant, jobs: &[JobSpec], rc: &RunConfig) -> RunReport {
 
 /// Runs the full `(jobset × variant)` grid on the harness's sweep pool
 /// and returns reports as `out[jobset_idx][variant_idx]` (variants in
-/// [`Variant::ALL`] order).
+/// [`Variant::ALL`] order). Jobsets may be owned (`Vec<JobSpec>`) or the
+/// memoized `Arc<[JobSpec]>` of `experiments::workload_shared`, which
+/// cells borrow instead of cloning.
 ///
 /// Each cell is one independent [`run_variant`] call — its engine, RNGs
 /// and tracer are cell-owned — so the collected grid is byte-identical
@@ -145,25 +147,13 @@ pub fn run_variant(v: Variant, jobs: &[JobSpec], rc: &RunConfig) -> RunReport {
 /// `crates/bench/tests/sweep_determinism.rs`). A panicking cell fails
 /// the sweep *after* every other cell has completed, with a message
 /// naming all failed cells.
-pub fn run_variant_grid(jobsets: &[Vec<JobSpec>], rc: &RunConfig) -> Vec<Vec<RunReport>> {
+pub fn run_variant_grid<J>(jobsets: &[J], rc: &RunConfig) -> Vec<Vec<RunReport>>
+where
+    J: AsRef<[JobSpec]> + Sync,
+{
     let nv = Variant::ALL.len();
     let reports = crate::config::pool().run_all(jobsets.len() * nv, |i| {
-        run_variant(Variant::ALL[i % nv], &jobsets[i / nv], rc)
-    });
-    collect_grid(reports, jobsets.len(), nv)
-}
-
-/// [`run_variant_grid`] over memoized jobsets: cells borrow the cached
-/// `Arc<Vec<JobSpec>>` from `experiments::workload_shared`, so same-
-/// workload cells across a sweep share one constructed jobset instead of
-/// cloning per cell (SweepPool cross-run awareness groundwork).
-pub fn run_variant_grid_shared(
-    jobsets: &[std::sync::Arc<Vec<JobSpec>>],
-    rc: &RunConfig,
-) -> Vec<Vec<RunReport>> {
-    let nv = Variant::ALL.len();
-    let reports = crate::config::pool().run_all(jobsets.len() * nv, |i| {
-        run_variant(Variant::ALL[i % nv], &jobsets[i / nv], rc)
+        run_variant(Variant::ALL[i % nv], jobsets[i / nv].as_ref(), rc)
     });
     collect_grid(reports, jobsets.len(), nv)
 }

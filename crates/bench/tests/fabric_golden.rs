@@ -9,7 +9,8 @@
 //! 3. Five synthetic churn cells — fair sharing at three scales, Varys
 //!    at the small and medium ones — hit their golden recompute counts;
 //!    the small cells run with the from-scratch shadow oracle armed on
-//!    every recompute.
+//!    every recompute, and the small Varys cell exercises both its full
+//!    and its incremental recompute paths.
 //!
 //! Regenerate the fingerprints with
 //! `cargo run --release -p corral-bench --example golden_dump`
@@ -22,7 +23,7 @@ use corral_cluster::config::{NetPolicy, SimParams};
 use corral_cluster::metrics::RunReport;
 use corral_core::{Objective, PlannerConfig};
 use corral_model::{Bytes, ClusterConfig, JobSpec, MachineId, SimTime};
-use corral_simnet::{CoflowId, Fabric, FlowKind, FlowSpec, FlowTag, RatePolicy};
+use corral_simnet::{CoflowId, Fabric, FabricStats, FlowKind, FlowSpec, FlowTag, RatePolicy};
 use corral_sweep::SweepPool;
 use corral_workloads::{assign_uniform_arrivals, w1, Scale};
 
@@ -192,8 +193,8 @@ fn spawn_flow(fab: &mut Fabric, machines: u64, per_rack: u64, seq: &mut u64, rng
 
 /// Fills the fabric to the shape's live-flow count, then replaces every
 /// completed flow with a fresh one until the shape's completion count is
-/// reached; returns the recompute count.
-fn churn_recomputes(policy: RatePolicy, shape: Shape, oracle: bool) -> u64 {
+/// reached; returns the fabric's counters.
+fn churn_stats(policy: RatePolicy, shape: Shape, oracle: bool) -> FabricStats {
     let (racks, machines_per_rack, live, completions, seed) = shape;
     let cfg = ClusterConfig {
         racks,
@@ -221,16 +222,24 @@ fn churn_recomputes(policy: RatePolicy, shape: Shape, oracle: bool) -> u64 {
             spawn_flow(&mut fab, machines, per_rack, &mut seq, &mut rng);
         }
     }
-    fab.stats().recomputes
+    fab.stats().clone()
 }
 
 #[test]
 fn churn_cells_hit_golden_recomputes_with_oracle_armed() {
     for (name, policy, shape, oracle, golden) in CHURN_CELLS {
+        let st = churn_stats(policy, shape, oracle);
         assert_eq!(
-            churn_recomputes(policy, shape, oracle),
-            golden,
+            st.recomputes, golden,
             "{name}: churn cell recompute count drifted (oracle armed: {oracle})"
         );
+        if name == "varys-small" {
+            // Both Varys recompute paths run: full passes (cold cache,
+            // capacity boundary) and coflow-local incremental ones.
+            assert!(
+                st.recomputes_full > 0 && st.recomputes_incremental > 0,
+                "{name}: a Varys recompute path went unexercised: {st:?}"
+            );
+        }
     }
 }

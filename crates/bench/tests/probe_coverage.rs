@@ -1,7 +1,7 @@
 //! Probe-wiring coverage: with `corral-probe` on, small live runs of the
 //! engine (every variant, under both network policies, on a sweep pool)
 //! and of the serving loop must leave every hot-path span kind and the
-//! fabric cause counters below non-empty. An empty one means the
+//! cause counters below non-empty. An empty one means the
 //! instrumentation — or the code path that feeds it — regressed. Span
 //! presence is deterministic; wall-clock is never asserted.
 //!
@@ -30,13 +30,16 @@ const REQUIRED_SPANS: [SpanKind; 8] = [
     SpanKind::ServeDecision,
 ];
 
-/// The Varys runs feed the split recompute counters and the Varys
-/// scratch footprint gauge.
-const REQUIRED_COUNTERS: [&str; 4] = [
-    "fabric.recompute_incremental",
-    "fabric.recompute_full_boundary",
+/// The four labels perfbench reads by name (`perfbench/src/main.rs`):
+/// renaming or dropping one would silently zero a perfbench metric.
+/// Plus the Varys scratch footprint gauge, which only the Varys runs
+/// feed.
+const REQUIRED_COUNTERS: [&str; 5] = [
+    "maxmin.rounds",
+    "fabric.dirty_flows_sum",
+    "fabric.dirty_flows_samples",
+    "planner.heap_pops",
     "fabric.varys_scratch_elems",
-    "fabric.scratch_grows",
 ];
 
 #[test]

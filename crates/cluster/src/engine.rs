@@ -17,8 +17,8 @@ use corral_simnet::{
     CoflowId, CompletedFlow, EventQueue, Fabric, FlowKind, FlowSpec, FlowTag, RatePolicy,
 };
 use corral_trace::{
-    probe, LocalityCounts, LocalityLevel, MetricsRegistry, NullTracer, Percentiles, RunSummary,
-    SharedTracer, TraceEvent,
+    probe, LocalityCounts, LocalityLevel, LogHistogram, NullTracer, Percentiles, RunSummary,
+    SharedTracer, TimeWeightedGauge, TraceEvent,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,9 +131,18 @@ pub struct Engine {
     task_log: Vec<crate::metrics::TaskRecord>,
     /// Cached `tracer.enabled()` so untraced runs pay one branch per site.
     trace_on: bool,
-    /// Always-on run telemetry (cheap: a few histogram/gauge updates per
-    /// attempt) feeding [`RunSummary`].
-    registry: MetricsRegistry,
+    // Always-on run telemetry feeding [`RunSummary`] (cheap: a few
+    // counter/gauge/histogram updates per attempt).
+    /// Task attempts that ran to completion (speculative copies included).
+    tasks_finished: u64,
+    /// Task attempts killed (speculation losers, machine failures).
+    tasks_killed: u64,
+    /// Busy slots over simulated time.
+    slots_busy: TimeWeightedGauge,
+    /// First-attempt queueing delay, seconds.
+    queue_delay: LogHistogram,
+    /// Per-attempt task duration, seconds.
+    task_duration: LogHistogram,
     /// First-attempt placements by achieved locality level.
     locality: LocalityCounts,
     /// Reused hot-loop buffers.
@@ -230,13 +239,17 @@ impl Engine {
             horizon_hit: false,
             task_log: Vec::new(),
             trace_on: false,
-            registry: MetricsRegistry::new(),
+            tasks_finished: 0,
+            tasks_killed: 0,
+            slots_busy: TimeWeightedGauge::default(),
+            queue_delay: LogHistogram::default(),
+            task_duration: LogHistogram::default(),
             locality: LocalityCounts::default(),
             scratch: EngineScratch::default(),
         };
         // Anchor the busy-slot gauge at t=0 so its time average covers the
         // whole run, including any idle prefix before the first launch.
-        engine.registry.gauge_set("slots_busy", 0.0, 0.0);
+        engine.slots_busy.set(0.0, 0.0);
         engine.policy = kind.build(engine.st.params.locality_wait_slots);
         engine.scheduler_label = match (kind, engine.st.params.placement) {
             (SchedulerKind::Planned, DataPlacement::PerPlan) => "corral".to_string(),
@@ -872,9 +885,9 @@ impl Engine {
                 LocalityLevel::Remote => self.locality.remote += 1,
                 LocalityLevel::Unconstrained => self.locality.unconstrained += 1,
             }
-            self.registry.observe("task_queue_delay_s", queue_delay);
+            self.queue_delay.record(queue_delay);
         }
-        self.registry.gauge_add("slots_busy", now.as_secs(), 1.0);
+        self.slots_busy.add(now.as_secs(), 1.0);
         if self.trace_on {
             self.emit(TraceEvent::TaskScheduled {
                 job: job_id.0,
@@ -1322,9 +1335,9 @@ impl Engine {
         if let Some(mm) = self.metrics.get_mut(&task.job) {
             mm.task_seconds += dur;
         }
-        self.registry.gauge_add("slots_busy", now.as_secs(), -1.0);
-        self.registry.inc("tasks_finished", 1);
-        self.registry.observe("task_duration_s", dur);
+        self.slots_busy.add(now.as_secs(), -1.0);
+        self.tasks_finished += 1;
+        self.task_duration.record(dur);
         if self.trace_on {
             self.emit(TraceEvent::TaskFinished {
                 job: task.job.0,
@@ -1517,7 +1530,6 @@ impl Engine {
         };
         if let Some((id, completion_s)) = finished {
             self.finished_log.push((id, now));
-            self.registry.inc("jobs_finished", 1);
             if self.trace_on {
                 self.emit(TraceEvent::JobFinished {
                     job: id.0,
@@ -1654,9 +1666,8 @@ impl Engine {
         if let Some(mm) = self.metrics.get_mut(&task.job) {
             mm.tasks_killed += 1;
         }
-        self.registry
-            .gauge_add("slots_busy", self.st.now.as_secs(), -1.0);
-        self.registry.inc("tasks_killed", 1);
+        self.slots_busy.add(self.st.now.as_secs(), -1.0);
+        self.tasks_killed += 1;
         if self.trace_on {
             self.emit(TraceEvent::TaskKilled {
                 job: task.job.0,
@@ -1705,35 +1716,25 @@ impl Engine {
             makespan
         };
 
-        // End-of-run summary from the metrics registry and fabric stats.
+        // End-of-run summary from the run telemetry and fabric stats.
         let end_t = makespan.as_secs();
         let total_slots = self.st.params.cluster.total_slots() as f64;
-        let busy_avg = self
-            .registry
-            .gauge("slots_busy")
-            .and_then(|g| g.time_avg(end_t))
-            .unwrap_or(0.0);
+        let busy_avg = self.slots_busy.time_avg(end_t).unwrap_or(0.0);
         let summary = RunSummary {
             scheduler: self.scheduler_label.clone(),
             makespan_s: end_t,
             jobs: self.st.jobs.len(),
             jobs_finished: self.st.jobs.len() - unfinished,
-            tasks_finished: self.registry.counter("tasks_finished"),
-            tasks_killed: self.registry.counter("tasks_killed"),
+            tasks_finished: self.tasks_finished,
+            tasks_killed: self.tasks_killed,
             slot_utilization: if total_slots > 0.0 && end_t > 0.0 {
                 (busy_avg / total_slots).clamp(0.0, 1.0)
             } else {
                 0.0
             },
             locality: self.locality,
-            queue_delay_s: self
-                .registry
-                .histogram("task_queue_delay_s")
-                .and_then(Percentiles::from_histogram),
-            task_duration_s: self
-                .registry
-                .histogram("task_duration_s")
-                .and_then(Percentiles::from_histogram),
+            queue_delay_s: Percentiles::from_histogram(&self.queue_delay),
+            task_duration_s: Percentiles::from_histogram(&self.task_duration),
             cross_rack_fraction: if stats.network_bytes.0 > 0.0 {
                 stats.cross_rack_bytes.0 / stats.network_bytes.0
             } else {

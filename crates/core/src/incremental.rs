@@ -29,31 +29,9 @@ use crate::objective::Objective;
 use crate::plan::Plan;
 use crate::planner::{plan_with_models, PlannerConfig};
 use corral_model::{ClusterConfig, JobId, JobProfile, JobSpec, RackId};
-use corral_trace::probe::{self, ProbeCounter, SpanKind};
+use corral_trace::fnv::Fnv64;
+use corral_trace::probe::{self, SpanKind};
 use std::collections::BTreeMap;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-#[inline]
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv(h, &v.to_le_bytes())
-}
-
-#[inline]
-fn fnv_f64(h: u64, v: f64) -> u64 {
-    fnv_u64(h, v.to_bits())
-}
 
 /// A 64-bit FNV-1a fingerprint of a job profile's *structure*: every
 /// field that [`LatencyModel::build`] reads, via `f64::to_bits` for
@@ -62,41 +40,38 @@ fn fnv_f64(h: u64, v: f64) -> u64 {
 /// the "job template hash" component of the serve-layer plan-cache key,
 /// so recurring submissions of the same template collide on purpose.
 pub fn profile_fingerprint(profile: &JobProfile) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv64::new();
     match profile {
         JobProfile::MapReduce(mr) => {
-            h = fnv_u64(h, 1); // variant tag
-            h = fnv_f64(h, mr.input.0);
-            h = fnv_f64(h, mr.shuffle.0);
-            h = fnv_f64(h, mr.output.0);
-            h = fnv_u64(h, mr.maps as u64);
-            h = fnv_u64(h, mr.reduces as u64);
-            h = fnv_f64(h, mr.map_rate.0);
-            h = fnv_f64(h, mr.reduce_rate.0);
+            h.u64(1); // variant tag
+            h.f64(mr.input.0);
+            h.f64(mr.shuffle.0);
+            h.f64(mr.output.0);
+            h.u64(mr.maps as u64);
+            h.u64(mr.reduces as u64);
+            h.f64(mr.map_rate.0);
+            h.f64(mr.reduce_rate.0);
         }
         JobProfile::Dag(d) => {
-            h = fnv_u64(h, 2); // variant tag
-            h = fnv_u64(h, d.stages.len() as u64);
+            h.u64(2); // variant tag
+            h.u64(d.stages.len() as u64);
             for st in &d.stages {
-                h = fnv(h, st.name.as_bytes());
-                h = fnv_u64(h, st.tasks as u64);
-                h = fnv_f64(h, st.dfs_input.0);
-                h = fnv_f64(h, st.dfs_output.0);
-                h = fnv_f64(h, st.rate.0);
+                h.bytes(st.name.as_bytes());
+                h.u64(st.tasks as u64);
+                h.f64(st.dfs_input.0);
+                h.f64(st.dfs_output.0);
+                h.f64(st.rate.0);
             }
-            h = fnv_u64(h, d.edges.len() as u64);
+            h.u64(d.edges.len() as u64);
             for e in &d.edges {
-                h = fnv_u64(h, e.from.index() as u64);
-                h = fnv_u64(h, e.to.index() as u64);
-                h = fnv_f64(h, e.bytes.0);
-                h = fnv_u64(
-                    h,
-                    matches!(e.kind, corral_model::EdgeKind::Broadcast) as u64,
-                );
+                h.u64(e.from.index() as u64);
+                h.u64(e.to.index() as u64);
+                h.f64(e.bytes.0);
+                h.u64(matches!(e.kind, corral_model::EdgeKind::Broadcast) as u64);
             }
         }
     }
-    h
+    h.finish()
 }
 
 /// Was a replan able to reuse cached latency tables?
@@ -177,10 +152,8 @@ impl IncrementalPlanner {
     /// reusing cached latency tables where the job's profile is
     /// unchanged. Departed jobs' tables are garbage-collected.
     ///
-    /// Counts [`ProbeCounter::ReplanIncremental`] /
-    /// [`ProbeCounter::ReplanFull`] and runs under the same
-    /// `PlanDecision` span as the batch planner, so the existing
-    /// decision-latency histogram covers both entry points.
+    /// Runs under the same `PlanDecision` span as the batch planner, so
+    /// the existing decision-latency histogram covers both entry points.
     pub fn plan(
         &mut self,
         jobs: &[JobSpec],
@@ -219,10 +192,8 @@ impl IncrementalPlanner {
         }
 
         let kind = if reused > 0 {
-            probe::count(ProbeCounter::ReplanIncremental, 1);
             ReplanKind::Incremental
         } else {
-            probe::count(ProbeCounter::ReplanFull, 1);
             ReplanKind::Full
         };
 

@@ -35,16 +35,16 @@ pub struct Plan {
     /// Value of the planning objective for this schedule (seconds).
     pub objective_value: f64,
     /// Cost counters of the provisioning run that produced this plan
-    /// (candidates scored, heap pops, scratch grows). Diagnostic only —
+    /// (candidates scored, heap pops). Diagnostic only —
     /// not serialized, and `Plan::from_csv` yields the default.
     #[serde(skip)]
     pub provision_stats: crate::provision::ProvisionStats,
 }
 
 /// Equality is over the *schedule* (entries + objective value), not the
-/// diagnostic cost counters: `scratch_grows` depends on what ran on the
-/// planning thread before, and two bit-identical plans must compare
-/// equal whatever that was.
+/// diagnostic cost counters: a plan materialized from the serve plan
+/// cache or read back from CSV carries no counters, and must still
+/// compare equal to the bit-identical plan the planner produced.
 impl PartialEq for Plan {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries && self.objective_value == other.objective_value

@@ -140,7 +140,8 @@ pub fn prioritize_jobs(
 /// process (the provisioning loop keeps it in a thread-local), so in
 /// steady state a planner run performs **zero** heap allocation per
 /// candidate; [`PlannerScratch::grows`] counts the times any buffer had
-/// to grow, the planner twin of the fabric's `scratch_grows` invariant.
+/// to grow (reported as the `planner.scratch_grows` probe counter), the
+/// planner twin of the fabric's `FabricStats::scratch_grows` invariant.
 #[derive(Debug, Default)]
 pub struct PlannerScratch {
     /// Job indices in scheduling order (the sorted `order` of

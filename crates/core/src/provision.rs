@@ -56,17 +56,13 @@ pub enum ProvisionMode {
 /// Cost counters of one provisioning run, the planner's analogue of the
 /// fabric's `FabricStats`. `candidates` and `heap_pops` are deterministic
 /// (pure functions of the input); `candidates` is pinned by golden counts
-/// in `crates/bench/tests/planner_golden.rs`. `scratch_grows` depends on
-/// what previously ran on the calling thread and is informational only.
+/// in `crates/bench/tests/planner_golden.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProvisionStats {
     /// Candidate allocations scored (widenings + the initial allocation).
     pub candidates: u64,
     /// Widening steps popped off the trajectory heap.
     pub heap_pops: u64,
-    /// Times a scoring scratch buffer had to (re)allocate — 0 in steady
-    /// state once the thread's scratch has warmed up.
-    pub scratch_grows: u64,
 }
 
 /// The outcome of provisioning + prioritization.
@@ -201,11 +197,10 @@ pub fn provision(
                 break;
             }
         }
-        stats.scratch_grows = s.grows() - g0;
+        probe::count(probe::ProbeCounter::PlannerScratchGrow, s.grows() - g0);
         (best, best_value)
     });
     probe::count(probe::ProbeCounter::HeapPops, stats.heap_pops);
-    probe::count(probe::ProbeCounter::PlannerScratchGrow, stats.scratch_grows);
 
     // Materialize the winning schedule once, through the borrowed
     // prioritization the scoring above mirrors.

@@ -109,7 +109,6 @@ pub fn provision_reference(
     best.stats = ProvisionStats {
         candidates,
         heap_pops: candidates - 1,
-        scratch_grows: 0,
     };
     best
 }

@@ -15,53 +15,16 @@
 //! in the problem's *id order*. The planner breaks start-time ties by
 //! job id, so two problems are only interchangeable when their id
 //! permutations agree; hashing the permutation makes a hit sufficient
-//! for bit-equal output. Keys are a pair of independent FNV-1a streams
-//! (128 bits total), and a length mismatch at lookup demotes a residual
-//! collision to a miss rather than a wrong plan.
+//! for bit-equal output. Keys are a 128-bit [`Fnv128`] hash, and a
+//! length mismatch at lookup demotes a residual collision to a miss
+//! rather than a wrong plan. Hits and misses are counted by the caller
+//! (`ServeStats::cache_hits` / `cache_misses`).
 
 use corral_core::plan::{Plan, PlanEntry};
 use corral_core::profile_fingerprint;
 use corral_model::{JobId, JobSpec, RackId, SimTime};
-use corral_trace::probe::{self, ProbeCounter};
+use corral_trace::fnv::Fnv128;
 use std::collections::{BTreeMap, VecDeque};
-
-const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
-/// Second stream: a different, odd offset basis so the two hashes are
-/// not trivially correlated.
-const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142 ^ 0x9e37_79b9_7f4a_7c15;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[derive(Clone, Copy)]
-struct Hasher2 {
-    a: u64,
-    b: u64,
-}
-
-impl Hasher2 {
-    fn new() -> Self {
-        Hasher2 {
-            a: FNV_OFFSET_A,
-            b: FNV_OFFSET_B,
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.a = (self.a ^ byte as u64).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ byte as u64)
-                .wrapping_mul(FNV_PRIME)
-                .rotate_left(1);
-        }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn key(self) -> (u64, u64) {
-        (self.a, self.b)
-    }
-}
 
 /// Cache key: 128 bits over config + canonical problem.
 pub type CacheKey = (u64, u64);
@@ -80,7 +43,7 @@ pub fn problem_key(
     problem: &[JobSpec],
     pins: &BTreeMap<JobId, Vec<RackId>>,
 ) -> CacheKey {
-    let mut h = Hasher2::new();
+    let mut h = Fnv128::new();
     h.u64(config_fp);
     h.u64(dead_fp);
     h.u64(problem.len() as u64);
@@ -107,7 +70,7 @@ pub fn problem_key(
             None => h.u64(0),
         }
     }
-    h.key()
+    h.finish()
 }
 
 /// One cached entry: a plan with the ids stripped, positions matching
@@ -134,10 +97,6 @@ pub struct PlanCache {
     capacity: usize,
     map: BTreeMap<CacheKey, AbstractPlan>,
     order: VecDeque<CacheKey>,
-    /// Lookups that returned a materialized plan.
-    pub hits: u64,
-    /// Lookups that fell through to the planner.
-    pub misses: u64,
 }
 
 impl PlanCache {
@@ -161,39 +120,30 @@ impl PlanCache {
 
     /// Probes the cache. `ids` are the problem's job ids in the same
     /// canonical order the key was computed from; on a hit the abstract
-    /// plan is materialized against them. Counts
-    /// [`ProbeCounter::PlanCacheHit`] / [`ProbeCounter::PlanCacheMiss`].
-    pub fn lookup(&mut self, key: CacheKey, ids: &[JobId]) -> Option<Plan> {
-        let cached = self.map.get(&key).filter(|c| c.entries.len() == ids.len());
-        match cached {
-            Some(c) => {
-                self.hits += 1;
-                probe::count(ProbeCounter::PlanCacheHit, 1);
-                let mut plan = Plan {
-                    objective_value: c.objective_value,
-                    ..Default::default()
-                };
-                for (id, e) in ids.iter().zip(&c.entries) {
-                    plan.entries.insert(
-                        *id,
-                        PlanEntry {
-                            job: *id,
-                            racks: e.racks.clone(),
-                            priority: e.priority,
-                            planned_start: e.planned_start,
-                            planned_finish: e.planned_finish,
-                            predicted_latency: e.predicted_latency,
-                        },
-                    );
-                }
-                Some(plan)
-            }
-            None => {
-                self.misses += 1;
-                probe::count(ProbeCounter::PlanCacheMiss, 1);
-                None
-            }
+    /// plan is materialized against them.
+    pub fn lookup(&self, key: CacheKey, ids: &[JobId]) -> Option<Plan> {
+        let c = self
+            .map
+            .get(&key)
+            .filter(|c| c.entries.len() == ids.len())?;
+        let mut plan = Plan {
+            objective_value: c.objective_value,
+            ..Default::default()
+        };
+        for (id, e) in ids.iter().zip(&c.entries) {
+            plan.entries.insert(
+                *id,
+                PlanEntry {
+                    job: *id,
+                    racks: e.racks.clone(),
+                    priority: e.priority,
+                    planned_start: e.planned_start,
+                    planned_finish: e.planned_finish,
+                    predicted_latency: e.predicted_latency,
+                },
+            );
         }
+        Some(plan)
     }
 
     /// Stores `plan` under `key` (`ids` in canonical problem order),
@@ -288,8 +238,6 @@ mod tests {
         let hit = cache.lookup(k2, &[JobId(9)]).expect("cache hit");
         assert_eq!(hit.entry(JobId(9)).unwrap().priority, 0);
         assert_eq!(hit.objective_value, 10.0);
-        assert_eq!(cache.hits, 1);
-        assert_eq!(cache.misses, 1);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! `cluster::engine::on_failure`).
 
 use corral_model::{ClusterConfig, MachineId, RackId};
+use corral_trace::fnv::Fnv64;
 
 /// Per-machine liveness for the serving cluster, plus the per-rack
 /// aggregates the §7 fallback rule reads.
@@ -88,19 +89,16 @@ impl Topology {
     /// is live, so cache keys from before any failure (and after full
     /// repair) coincide.
     pub(crate) fn dead_fp(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv64::new();
         let mut any = false;
         for (i, d) in self.dead.iter().enumerate() {
             if *d {
                 any = true;
-                for b in (i as u64).to_le_bytes() {
-                    h = (h ^ b as u64).wrapping_mul(PRIME);
-                }
+                h.u64(i as u64);
             }
         }
         if any {
-            h
+            h.finish()
         } else {
             0
         }

@@ -20,15 +20,15 @@
 //!   [`corral_core::plan_jobs_pinned`] stays the oracle, and tripwire
 //!   mode asserts plan-equality on every replan.
 //! * [`cache`] — a plan cache keyed by (cluster-config fingerprint, job
-//!   template hashes, relative arrivals, pins, id-order permutation),
-//!   with probe-counted hits/misses. Replans happen in *now-relative*
-//!   time, so an empty-queue arrival of a recurring template hits the
-//!   cache no matter when it lands.
+//!   template hashes, relative arrivals, pins, id-order permutation);
+//!   [`ServeStats`] counts its hits and misses. Replans happen in
+//!   *now-relative* time, so an empty-queue arrival of a recurring
+//!   template hits the cache no matter when it lands.
 //! * [`event`] — the event/decision vocabulary of the service.
 //! * [`source`] — frontends: an in-process channel service and the JSONL
 //!   stream reader behind `corral-sim serve`.
 //! * [`wire`] — the JSONL wire format (events in, decisions out), built
-//!   on [`jsonv`].
+//!   on [`corral_trace::json`].
 //! * [`snapshot`] — versioned text snapshot/restore of scheduler state;
 //!   a restored run's decision stream is byte-identical to the
 //!   uninterrupted one.
@@ -61,7 +61,6 @@ pub mod driver;
 pub mod error;
 pub mod event;
 pub(crate) mod fault;
-pub mod jsonv;
 pub mod scheduler;
 pub mod snapshot;
 pub mod source;

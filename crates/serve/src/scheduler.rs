@@ -40,7 +40,8 @@ use corral_core::{
     plan_jobs_pinned, IncrementalPlanner, Objective, Plan, PlannerConfig, ReplanKind,
 };
 use corral_model::{ClusterConfig, JobId, JobSpec, MachineId, RackId, SimTime};
-use corral_trace::probe::{self, ProbeCounter, SpanKind};
+use corral_trace::fnv::Fnv64;
+use corral_trace::probe::{self, SpanKind};
 use std::collections::BTreeMap;
 
 /// Service configuration, fixed for the scheduler's lifetime (a plan
@@ -108,44 +109,39 @@ impl ServeConfig {
     /// the config component of cache keys and checked on snapshot
     /// restore.
     pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut put = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        };
-        put(2); // format version (v2: failure-path fields below)
-        put(self.cluster.racks as u64);
-        put(self.cluster.machines_per_rack as u64);
-        put(self.cluster.slots_per_machine as u64);
-        put(self.cluster.nic_bandwidth.0.to_bits());
-        put(self.cluster.oversubscription.to_bits());
-        put(self.cluster.chunk_size.0.to_bits());
-        put(self.cluster.replication as u64);
-        put(match self.objective {
+        let mut h = Fnv64::new();
+        h.u64(2); // format version (v2: failure-path fields below)
+        h.u64(self.cluster.racks as u64);
+        h.u64(self.cluster.machines_per_rack as u64);
+        h.u64(self.cluster.slots_per_machine as u64);
+        h.f64(self.cluster.nic_bandwidth.0);
+        h.f64(self.cluster.oversubscription);
+        h.f64(self.cluster.chunk_size.0);
+        h.u64(self.cluster.replication as u64);
+        h.u64(match self.objective {
             Objective::Makespan => 1,
             Objective::AvgCompletionTime => 2,
         });
         match self.planner.response.alpha {
             Some(a) => {
-                put(1);
-                put(a.to_bits());
+                h.u64(1);
+                h.f64(a);
             }
-            None => put(0),
+            None => h.u64(0),
         }
-        put(self.planner.response.volume_error.to_bits());
-        put(self.max_queue as u64);
-        put(self.fallback as u64);
-        put(self.failure_threshold.to_bits());
-        put(self.dispatch_retries as u64);
-        put(self.retry_backoff.0.to_bits());
-        h
+        h.f64(self.planner.response.volume_error);
+        h.u64(self.max_queue as u64);
+        h.u64(self.fallback as u64);
+        h.f64(self.failure_threshold);
+        h.u64(self.dispatch_retries as u64);
+        h.f64(self.retry_backoff.0);
+        h.finish()
     }
 }
 
-/// Aggregate service counters (also probe-counted; these are the
-/// always-on, snapshot-carried copies).
+/// Aggregate service counters: always on, carried through snapshots,
+/// and the only place these facts are counted (`corral-sim serve
+/// --summary` prints them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Input events consumed from the stream.
@@ -302,10 +298,7 @@ impl Scheduler {
 
     /// Aggregate counters.
     pub fn stats(&self) -> ServeStats {
-        let mut s = self.stats;
-        s.cache_hits = self.cache.hits;
-        s.cache_misses = self.cache.misses;
-        s
+        self.stats
     }
 
     /// The service configuration.
@@ -437,7 +430,6 @@ impl Scheduler {
         };
         if let Some(cause) = cause {
             self.stats.rejected += 1;
-            probe::count(ProbeCounter::ServeRejected, 1);
             self.emit(
                 out,
                 Decision::Reject {
@@ -462,7 +454,6 @@ impl Scheduler {
             spec: eff,
         };
         self.stats.admitted += 1;
-        probe::count(ProbeCounter::ServeAdmitted, 1);
         self.emit(
             out,
             Decision::Admit {
@@ -519,10 +510,8 @@ impl Scheduler {
     /// the submitter sees a decision instead of silence.
     fn on_malformed(&mut self, job: Option<JobId>, out: &mut Vec<(SimTime, Decision)>) {
         self.stats.malformed += 1;
-        probe::count(ProbeCounter::ServeMalformed, 1);
         if let Some(job) = job {
             self.stats.rejected += 1;
-            probe::count(ProbeCounter::ServeRejected, 1);
             self.emit(
                 out,
                 Decision::Reject {
@@ -595,7 +584,6 @@ impl Scheduler {
                     planned_finish: q.planned_finish,
                 };
                 self.stats.reanchored += 1;
-                probe::count(ProbeCounter::ServeReanchored, 1);
                 self.emit(out, d);
             }
         }
@@ -652,7 +640,6 @@ impl Scheduler {
                 // terminates after `dispatch_retries` deferrals.
                 q.planned_start = now + SimTime(backoff.0 * (1u64 << (q.attempts - 1)) as f64);
                 self.stats.dispatch_retries += 1;
-                probe::count(ProbeCounter::ServeDispatchRetry, 1);
                 return false;
             }
             q.racks.clear();
@@ -797,8 +784,12 @@ impl Scheduler {
 
         let key = problem_key(self.config_fp, self.dead_fp, &problem, &pins);
         let plan = match self.cache.lookup(key, &ids) {
-            Some(plan) => plan,
+            Some(plan) => {
+                self.stats.cache_hits += 1;
+                plan
+            }
             None => {
+                self.stats.cache_misses += 1;
                 let (plan, rs) = self.planner.plan(&problem, &pins);
                 match rs.kind {
                     ReplanKind::Incremental => self.stats.replans_incremental += 1,
@@ -883,7 +874,7 @@ impl Scheduler {
             self.config_fp,
             self.now,
             self.dispatch_seq,
-            self.stats(),
+            self.stats,
             &self.queue,
             &self.active,
             self.topo.dead_machines(),
@@ -908,10 +899,6 @@ impl Scheduler {
         s.now = now;
         s.dispatch_seq = dispatch_seq;
         s.stats = stats;
-        // Cache hit/miss counters live in the cache; carry them over so
-        // stats() keeps counting from the snapshot values.
-        s.cache.hits = stats.cache_hits;
-        s.cache.misses = stats.cache_misses;
         s.queue = queue;
         s.active = active;
         for m in dead {

@@ -32,23 +32,18 @@
 use crate::error::ServeError;
 use crate::scheduler::{Active, Queued, Scheduler, ServeConfig, ServeStats};
 use corral_model::{JobId, MachineId, RackId, SimTime};
+use corral_trace::fnv::Fnv128;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 const MAGIC: &str = "corral-serve-snapshot v2";
 const MAGIC_V1: &str = "corral-serve-snapshot v1";
 
-/// 128-bit body checksum: two independent FNV-1a streams (the same
-/// construction as the plan cache's key hash).
+/// 128-bit body checksum (the same hash as the plan cache's keys).
 fn checksum(body: &str) -> (u64, u64) {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut b: u64 = 0x6c62_272e_07bb_0142 ^ 0x9e37_79b9_7f4a_7c15;
-    for byte in body.bytes() {
-        a = (a ^ byte as u64).wrapping_mul(PRIME);
-        b = (b ^ byte as u64).wrapping_mul(PRIME).rotate_left(1);
-    }
-    (a, b)
+    let mut h = Fnv128::new();
+    h.bytes(body.as_bytes());
+    h.finish()
 }
 
 fn racks_str(racks: &[RackId]) -> String {
@@ -554,5 +549,33 @@ mod tests {
         let err = read(v1, cfg()).unwrap_err().to_string();
         assert!(err.contains("v1"), "{err}");
         assert!(err.contains("re-snapshot"), "{err}");
+    }
+
+    /// Snapshots persist the body checksum and the config fingerprint,
+    /// and cache keys must stay stable across a restore, so the FNV bits
+    /// behind every fingerprint are part of the format. Pinned values for
+    /// fixed inputs; any change to the hash breaks existing snapshots.
+    #[test]
+    fn fnv_fingerprints_are_pinned() {
+        assert_eq!(ServeConfig::default().fingerprint(), 0x7c0a_f45b_e2ee_bf68);
+        assert_eq!(
+            corral_core::profile_fingerprint(&spec(1, 0.0, 2.0).profile),
+            0xd5f4_bece_e7a8_9a00
+        );
+        assert_eq!(
+            checksum("corral-serve-snapshot v2\nnow 12.5\n"),
+            (0xa5d7_2068_813e_e7db, 0xa204_cfaa_1c24_5b89)
+        );
+        let mut pins = BTreeMap::new();
+        pins.insert(JobId(1), vec![RackId(0), RackId(2)]);
+        let problem = [spec(1, -3.0, 2.0), spec(2, 0.0, 4.0)];
+        assert_eq!(
+            crate::cache::problem_key(42, 7, &problem, &pins),
+            (0x02b4_e29c_f1f1_6f88, 0xd231_1f6e_54a8_4336)
+        );
+        let mut topo = crate::fault::Topology::new(&ClusterConfig::tiny_test());
+        topo.fail_machine(MachineId::from_index(3));
+        topo.fail_machine(MachineId::from_index(17));
+        assert_eq!(topo.dead_fp(), 0xc7c2_bf3b_3309_83e6);
     }
 }

@@ -29,10 +29,10 @@
 
 use crate::error::ServeError;
 use crate::event::{Decision, ServeEvent};
-use crate::jsonv::{self, Value};
 use corral_model::{
     Bandwidth, Bytes, JobId, JobSpec, MachineId, MapReduceProfile, RackId, SimTime,
 };
+use corral_trace::json::{self, Value};
 use std::fmt::Write as _;
 
 fn need_f64(v: &Value, key: &str) -> Result<f64, ServeError> {
@@ -54,7 +54,7 @@ fn need_u32(v: &Value, key: &str) -> Result<u32, ServeError> {
 
 /// Parses one JSONL input line into a [`ServeEvent`].
 pub fn parse_event(line: &str) -> Result<ServeEvent, ServeError> {
-    let v = jsonv::parse(line).map_err(ServeError::parse)?;
+    let v = json::parse(line).map_err(ServeError::parse)?;
     let kind = v
         .get("type")
         .and_then(|x| x.as_str())
@@ -115,7 +115,7 @@ pub fn parse_event(line: &str) -> Result<ServeEvent, ServeError> {
 /// if the line is still JSON with a numeric `id` (or `job`) field, that
 /// id lets the service emit a structured malformed-reject for it.
 pub fn lossy_job_id(line: &str) -> Option<JobId> {
-    let v = jsonv::parse(line).ok()?;
+    let v = json::parse(line).ok()?;
     let raw = v
         .get("id")
         .or_else(|| v.get("job"))
@@ -140,7 +140,8 @@ pub fn format_event(ev: &ServeEvent) -> Result<String, ServeError> {
             };
             let mut o = String::from("{\"type\":\"arrival\"");
             let _ = write!(o, ",\"id\":{}", s.id.0);
-            let _ = write!(o, ",\"name\":{}", Value::Str(s.name.clone()).to_json());
+            o.push_str(",\"name\":");
+            json::push_str_escaped(&mut o, &s.name);
             let _ = write!(o, ",\"arrival_s\":{}", s.arrival.0);
             if !s.plannable {
                 o.push_str(",\"plannable\":false");
@@ -372,7 +373,7 @@ mod tests {
             format_decision(SimTime(2.0), &m),
             format_decision(SimTime(18.0), &re),
         ] {
-            assert!(crate::jsonv::parse(&line).is_ok());
+            assert!(json::parse(&line).is_ok());
         }
     }
 }

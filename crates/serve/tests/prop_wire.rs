@@ -6,7 +6,8 @@
 
 use corral_model::{Bandwidth, Bytes, ClusterConfig, JobId, JobSpec, MapReduceProfile, SimTime};
 use corral_serve::source::read_events_lossy;
-use corral_serve::{jsonv, wire, Scheduler, ServeConfig, ServeEvent};
+use corral_serve::{wire, Scheduler, ServeConfig, ServeEvent};
+use corral_trace::json;
 use proptest::prelude::*;
 
 fn spec(id: u32, arrival: f64, gb: f64) -> JobSpec {
@@ -97,8 +98,8 @@ proptest! {
     #[test]
     fn deep_nesting_is_bounded_not_fatal(depth in 1usize..512) {
         let text = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
-        let result = jsonv::parse(&text);
-        prop_assert_eq!(result.is_ok(), depth <= jsonv::MAX_DEPTH);
+        let result = json::parse(&text);
+        prop_assert_eq!(result.is_ok(), depth <= json::MAX_DEPTH);
         // The same text as a wire line is a clean parse error.
         prop_assert!(wire::parse_event(&text).is_err());
     }

@@ -986,7 +986,6 @@ impl Fabric {
         self.dirty = false;
         self.stats.recomputes += 1;
         self.stats.recomputes_incremental += 1;
-        probe::count(probe::ProbeCounter::RecomputeIncremental, 1);
 
         let now = self.now.0;
 
@@ -1184,7 +1183,6 @@ impl Fabric {
         if footprint != self.scratch_footprint {
             self.scratch_footprint = footprint;
             self.stats.scratch_grows += 1;
-            probe::count(probe::ProbeCounter::FabricScratchGrow, 1);
         }
         // Calendar hygiene: once stale entries dominate the live flows,
         // vacuum them in one deterministic pass.
@@ -1290,7 +1288,6 @@ impl Fabric {
         let (rounds, dirtied) = match outcome {
             DirtyOutcome::Full { rounds } => {
                 self.stats.recomputes_full += 1;
-                probe::count(probe::ProbeCounter::RecomputeFullBoundary, 1);
                 (rounds, nrows as u64)
             }
             DirtyOutcome::Incremental {
@@ -1298,7 +1295,6 @@ impl Fabric {
                 rounds,
             } => {
                 self.stats.recomputes_incremental += 1;
-                probe::count(probe::ProbeCounter::RecomputeIncremental, 1);
                 (rounds, dirty_flows)
             }
         };
@@ -1347,7 +1343,6 @@ impl Fabric {
         if footprint != self.scratch_footprint {
             self.scratch_footprint = footprint;
             self.stats.scratch_grows += 1;
-            probe::count(probe::ProbeCounter::FabricScratchGrow, 1);
         }
         let alloc = &self.scratch.alloc;
         let varys_fp = alloc.varys.footprint() + alloc.comp.footprint();

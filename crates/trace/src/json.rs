@@ -1,10 +1,15 @@
-//! Minimal hand-rolled JSON output helpers.
+//! Minimal hand-rolled JSON: the workspace's one reader and writer.
 //!
 //! The trace crate is intentionally dependency-free, so JSONL lines and
 //! the Chrome trace file are assembled with these helpers instead of a
 //! serialization framework. Number formatting uses Rust's shortest
 //! round-trip `Display` for `f64`, which is deterministic across runs
 //! and platforms — the determinism tests compare traces byte-for-byte.
+//!
+//! The read side — [`Value`], [`parse`] and its nesting bound
+//! [`MAX_DEPTH`] — parses the `corral-sim serve` JSONL wire format.
+
+pub use crate::jsonv::{parse, Value, MAX_DEPTH};
 
 /// Appends a JSON string literal (with escaping) to `out`.
 pub fn push_str_escaped(out: &mut String, s: &str) {

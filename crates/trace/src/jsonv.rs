@@ -1,12 +1,12 @@
-//! A minimal JSON value: parser + serializer — the wire format of the
-//! `corral-sim serve` JSONL frontend.
+//! The read side of [`crate::json`]: a minimal JSON value and its
+//! parser, used by the `corral-sim serve` JSONL frontend. Re-exported
+//! as `corral_trace::json::{Value, parse, MAX_DEPTH}`; the write side
+//! (`push_str_escaped` and friends) lives in `json.rs`.
 //!
-//! The workspace stays dependency-free, and `corral_trace::json` is a
-//! write-only escaper, so the read side lives here. The subset is full
-//! JSON minus two deliberate omissions: no `\u` surrogate-pair
-//! stitching (escapes decode to their code point; the wire is
-//! ASCII) and numbers parse via `f64` (plenty for wall-clock seconds
-//! and counters < 2^53).
+//! The subset is full JSON minus two deliberate omissions: no `\u`
+//! surrogate-pair stitching (escapes decode to their code point; the
+//! wire is ASCII) and numbers parse via `f64` (plenty for wall-clock
+//! seconds and counters < 2^53).
 //!
 //! The parser is hardened against adversarial input: nesting is bounded
 //! by [`MAX_DEPTH`] (a 100k-`[` line returns `Err` instead of blowing
@@ -19,10 +19,9 @@
 //! and asserts `Err`, never a panic.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-/// One parsed JSON value. Objects use a `BTreeMap`, so re-serialized
-/// keys come out sorted — stable diffs for the merged report.
+/// One parsed JSON value. Objects use a `BTreeMap` (keys sorted;
+/// a duplicate key keeps its last binding).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
@@ -81,75 +80,12 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Serializes back to compact JSON (sorted object keys).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < (1u64 << 53) as f64 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Value::Str(s) => write_escaped(out, s),
-            Value::Arr(a) => {
-                out.push('[');
-                for (i, v) in a.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
-            Value::Obj(m) => {
-                out.push('{');
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Maximum container nesting the parser accepts. Deeper documents are
 /// rejected with an error rather than risking stack exhaustion — the
 /// parser recurses once per `[`/`{` level. Generous for every legitimate
-/// producer in this workspace (wire events are depth ≤ 2, `BENCH_*.json`
-/// depth ≤ 4).
+/// producer in this workspace (wire events are depth ≤ 2).
 pub const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.
@@ -324,14 +260,14 @@ mod tests {
         let list = v.get("list").unwrap().as_arr().unwrap();
         assert_eq!(list.len(), 5);
         assert_eq!(list[4].get("k").unwrap().as_str(), Some("v"));
-        // Reparse of the compact form is identity.
-        assert_eq!(parse(&v.to_json()).unwrap(), v);
     }
 
     #[test]
     fn escapes_roundtrip() {
-        let v = Value::Str("a\"b\\c\nd\te\u{1}".into());
-        assert_eq!(parse(&v.to_json()).unwrap(), v);
+        let raw = "a\"b\\c\nd\te\u{1}";
+        let mut text = String::new();
+        crate::json::push_str_escaped(&mut text, raw);
+        assert_eq!(parse(&text).unwrap(), Value::Str(raw.into()));
     }
 
     #[test]
@@ -340,12 +276,6 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn whole_floats_serialize_as_integers() {
-        assert_eq!(Value::Num(7992.0).to_json(), "7992");
-        assert_eq!(Value::Num(0.857).to_json(), "0.857");
     }
 
     #[test]
@@ -380,7 +310,6 @@ mod tests {
             Value::Null
         ));
         assert_eq!(v.get("e").unwrap().as_arr().unwrap().len(), 0);
-        assert_eq!(parse(&v.to_json()).unwrap(), v);
     }
 
     #[test]
@@ -390,7 +319,7 @@ mod tests {
         let v = parse(r#"{"k":1,"k":2,"j":0,"k":3}"#).unwrap();
         assert_eq!(v.get("k").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("j").unwrap().as_u64(), Some(0));
-        assert_eq!(v.to_json(), r#"{"j":0,"k":3}"#);
+        assert!(matches!(&v, Value::Obj(m) if m.len() == 2));
     }
 
     #[test]

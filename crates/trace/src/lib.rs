@@ -1,14 +1,15 @@
 //! # corral-trace
 //!
 //! Structured observability for the Corral simulator stack: a zero-dep
-//! event sink, a metrics registry, and exporters.
+//! event sink, run-metric primitives, and exporters.
 //!
 //! * [`event::TraceEvent`] — the vocabulary: task lifecycle, network
 //!   flows, scheduler/planner decisions, background-traffic epochs;
 //! * [`tracer::Tracer`] — the sink trait, with [`NullTracer`] (free),
 //!   [`MemTracer`] (ring buffer) and [`JsonlTracer`] (streaming JSONL);
-//! * [`metrics::MetricsRegistry`] — counters, sim-time-weighted gauges
-//!   and log-linear [`histogram::LogHistogram`]s (p50/p90/p99);
+//! * [`metrics::TimeWeightedGauge`] and [`histogram::LogHistogram`]
+//!   (p50/p90/p99) — the typed building blocks of the engine's run
+//!   telemetry;
 //! * [`probe`] — *corral-probe*, host-side self-profiling of the
 //!   simulator's own hot paths (RAII spans, cause counters, latency
 //!   histograms), strictly outside the deterministic sim-trace stream;
@@ -16,7 +17,9 @@
 //!   [`perfetto::chrome_trace`] (with an optional probe track via
 //!   [`perfetto::chrome_trace_with_probe`]), the Prometheus-style
 //!   [`probe::ProbeReport::prometheus`] text, and the plain-text
-//!   [`summary::RunSummary`].
+//!   [`summary::RunSummary`];
+//! * utilities every layer shares — [`json`], the workspace's one JSON
+//!   reader and writer, and [`fnv`], its one FNV-1a hash.
 //!
 //! The crate deliberately depends on nothing (not even the model crate):
 //! events carry raw ids and `f64` seconds, so every layer of the stack —
@@ -27,8 +30,10 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod fnv;
 pub mod histogram;
 pub mod json;
+mod jsonv;
 pub mod metrics;
 pub mod perfetto;
 pub mod probe;
@@ -37,7 +42,7 @@ pub mod tracer;
 
 pub use event::{FlowClass, LocalityLevel, TraceEvent};
 pub use histogram::LogHistogram;
-pub use metrics::{MetricsRegistry, TimeWeightedGauge};
+pub use metrics::TimeWeightedGauge;
 pub use perfetto::{chrome_trace, chrome_trace_with_probe};
 pub use probe::{ProbeCounter, ProbeReport, SpanKind};
 pub use summary::{LocalityCounts, Percentiles, PlanningCost, RunSummary};

@@ -1,11 +1,7 @@
-//! A small metrics registry: named counters, sim-time-weighted gauges,
-//! and [`LogHistogram`]s, all behind `&mut` (the engine owns its
-//! registry; nothing here needs sharing). Keys are `&'static str` so the
-//! hot path never allocates.
-
-use std::collections::BTreeMap;
-
-use crate::histogram::LogHistogram;
+//! Sim-time-weighted gauges. The engine keeps its run telemetry as
+//! typed fields (a [`TimeWeightedGauge`] for busy slots, a
+//! [`crate::LogHistogram`] per latency distribution, plain `u64`
+//! counts); nothing here needs sharing or string keys.
 
 /// A gauge integrated over simulation time: `set(t, v)` closes the
 /// previous level at `t`, so `time_avg(end)` is the exact time-weighted
@@ -74,68 +70,9 @@ impl TimeWeightedGauge {
     }
 }
 
-/// Named counters, gauges and histograms for one run.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, TimeWeightedGauge>,
-    histograms: BTreeMap<&'static str, LogHistogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `by` to counter `name` (creating it at zero).
-    pub fn inc(&mut self, name: &'static str, by: u64) {
-        *self.counters.entry(name).or_insert(0) += by;
-    }
-
-    /// Reads counter `name` (zero if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets gauge `name` to `v` at sim time `t`.
-    pub fn gauge_set(&mut self, name: &'static str, t: f64, v: f64) {
-        self.gauges.entry(name).or_default().set(t, v);
-    }
-
-    /// Adds `delta` to gauge `name` at sim time `t`.
-    pub fn gauge_add(&mut self, name: &'static str, t: f64, delta: f64) {
-        self.gauges.entry(name).or_default().add(t, delta);
-    }
-
-    /// Reads gauge `name`, if it was ever set.
-    pub fn gauge(&self, name: &str) -> Option<&TimeWeightedGauge> {
-        self.gauges.get(name)
-    }
-
-    /// Records `v` into histogram `name` (creating it empty).
-    pub fn observe(&mut self, name: &'static str, v: f64) {
-        self.histograms.entry(name).or_default().record(v);
-    }
-
-    /// Reads histogram `name`, if it has ever been observed into.
-    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.histograms.get(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let mut r = MetricsRegistry::new();
-        r.inc("tasks", 1);
-        r.inc("tasks", 2);
-        assert_eq!(r.counter("tasks"), 3);
-        assert_eq!(r.counter("absent"), 0);
-    }
 
     #[test]
     fn gauge_time_average_is_exact_for_steps() {
@@ -150,12 +87,12 @@ mod tests {
 
     #[test]
     fn gauge_add_tracks_occupancy() {
-        let mut r = MetricsRegistry::new();
-        r.gauge_add("busy", 0.0, 1.0);
-        r.gauge_add("busy", 5.0, 1.0);
-        r.gauge_add("busy", 10.0, -2.0);
+        let mut g = TimeWeightedGauge::default();
+        g.add(0.0, 1.0);
+        g.add(5.0, 1.0);
+        g.add(10.0, -2.0);
         // 1 over [0,5), 2 over [5,10), 0 after: avg over [0,10] = 1.5.
-        let avg = r.gauge("busy").unwrap().time_avg(10.0).unwrap();
+        let avg = g.time_avg(10.0).unwrap();
         assert!((avg - 1.5).abs() < 1e-12);
     }
 }

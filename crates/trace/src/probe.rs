@@ -108,7 +108,12 @@ impl SpanKind {
     }
 }
 
-/// Hot-path cause counters: *why* the expensive sections ran.
+/// Hot-path cause counters: *why* the expensive sections ran. Only
+/// host-side facts live here; deterministic per-run counts live in the
+/// layers' stats structs. The exceptions are [`ProbeCounter::MaxMinRounds`],
+/// the two `FabricDirtyFlows*` counters and [`ProbeCounter::HeapPops`],
+/// which mirror `FabricStats` / `ProvisionStats` fields because
+/// perfbench reads these labels by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ProbeCounter {
@@ -122,8 +127,6 @@ pub enum ProbeCounter {
     RecomputeCompletion,
     /// Max-min water-filling rounds executed.
     MaxMinRounds,
-    /// Fabric CSR scratch footprint growths (reallocation events).
-    FabricScratchGrow,
     /// Widening steps popped off the provisioning heap.
     HeapPops,
     /// Provisioning loops cut short by the early-stop rule.
@@ -140,35 +143,6 @@ pub enum ProbeCounter {
     StackOverflows,
     /// Closed span records evicted from rings (per-thread + merged).
     RingDrops,
-    /// Serve plan-cache lookups answered from the cache (no replan).
-    PlanCacheHit,
-    /// Serve plan-cache lookups that missed and forced a replan.
-    PlanCacheMiss,
-    /// Replans that reused at least one cached latency model
-    /// (only the delta jobs were re-modelled).
-    ReplanIncremental,
-    /// Replans that rebuilt every latency model (cold or invalidated).
-    ReplanFull,
-    /// Jobs admitted by the serve loop.
-    ServeAdmitted,
-    /// Jobs rejected by serve admission control (bounded queue,
-    /// unplannable profile, or duplicate id).
-    ServeRejected,
-    /// Malformed wire lines absorbed by the serve loop (structured
-    /// reject or counted skip, never a crash).
-    ServeMalformed,
-    /// Queued jobs whose rack anchor was dropped by the §7 failure
-    /// fallback (re-anchored in the post-failure replan).
-    ServeReanchored,
-    /// Dispatch timers deferred with backoff because the target rack
-    /// set was effectively dead.
-    ServeDispatchRetry,
-    /// Fabric recomputes that re-solved only the dirty bottleneck
-    /// components (the incremental path).
-    RecomputeIncremental,
-    /// Varys recomputes that ran a full pass because a capacity change or
-    /// a cold cache invalidated the coflow-local caches.
-    RecomputeFullBoundary,
     /// Sum of dirty-set sizes (candidate flows re-solved) across
     /// incremental recomputes.
     FabricDirtyFlowsSum,
@@ -183,13 +157,12 @@ pub enum ProbeCounter {
 
 impl ProbeCounter {
     /// Every counter, in stable report order.
-    pub const ALL: [ProbeCounter; 28] = [
+    pub const ALL: [ProbeCounter; 16] = [
         ProbeCounter::RecomputeFlowStart,
         ProbeCounter::RecomputeFlowCancel,
         ProbeCounter::RecomputeBackground,
         ProbeCounter::RecomputeCompletion,
         ProbeCounter::MaxMinRounds,
-        ProbeCounter::FabricScratchGrow,
         ProbeCounter::HeapPops,
         ProbeCounter::EarlyStops,
         ProbeCounter::PlannerScratchGrow,
@@ -198,17 +171,6 @@ impl ProbeCounter {
         ProbeCounter::UnbalancedSpans,
         ProbeCounter::StackOverflows,
         ProbeCounter::RingDrops,
-        ProbeCounter::PlanCacheHit,
-        ProbeCounter::PlanCacheMiss,
-        ProbeCounter::ReplanIncremental,
-        ProbeCounter::ReplanFull,
-        ProbeCounter::ServeAdmitted,
-        ProbeCounter::ServeRejected,
-        ProbeCounter::ServeMalformed,
-        ProbeCounter::ServeReanchored,
-        ProbeCounter::ServeDispatchRetry,
-        ProbeCounter::RecomputeIncremental,
-        ProbeCounter::RecomputeFullBoundary,
         ProbeCounter::FabricDirtyFlowsSum,
         ProbeCounter::FabricDirtyFlowsSamples,
         ProbeCounter::VarysScratchElems,
@@ -222,7 +184,6 @@ impl ProbeCounter {
             ProbeCounter::RecomputeBackground => "recompute.background",
             ProbeCounter::RecomputeCompletion => "recompute.completion",
             ProbeCounter::MaxMinRounds => "maxmin.rounds",
-            ProbeCounter::FabricScratchGrow => "fabric.scratch_grows",
             ProbeCounter::HeapPops => "planner.heap_pops",
             ProbeCounter::EarlyStops => "planner.early_stops",
             ProbeCounter::PlannerScratchGrow => "planner.scratch_grows",
@@ -231,17 +192,6 @@ impl ProbeCounter {
             ProbeCounter::UnbalancedSpans => "probe.unbalanced_spans",
             ProbeCounter::StackOverflows => "probe.stack_overflows",
             ProbeCounter::RingDrops => "probe.ring_drops",
-            ProbeCounter::PlanCacheHit => "serve.cache_hits",
-            ProbeCounter::PlanCacheMiss => "serve.cache_misses",
-            ProbeCounter::ReplanIncremental => "serve.replan_incremental",
-            ProbeCounter::ReplanFull => "serve.replan_full",
-            ProbeCounter::ServeAdmitted => "serve.admitted",
-            ProbeCounter::ServeRejected => "serve.rejected",
-            ProbeCounter::ServeMalformed => "serve.malformed",
-            ProbeCounter::ServeReanchored => "serve.reanchored",
-            ProbeCounter::ServeDispatchRetry => "serve.dispatch_retries",
-            ProbeCounter::RecomputeIncremental => "fabric.recompute_incremental",
-            ProbeCounter::RecomputeFullBoundary => "fabric.recompute_full_boundary",
             ProbeCounter::FabricDirtyFlowsSum => "fabric.dirty_flows_sum",
             ProbeCounter::FabricDirtyFlowsSamples => "fabric.dirty_flows_samples",
             ProbeCounter::VarysScratchElems => "fabric.varys_scratch_elems",
