@@ -1,9 +1,10 @@
 //! Determinism contract for chaos runs: the same chaos seed produces a
 //! **byte-identical formatted decision stream** no matter how the run is
-//! executed — serial vs an 8-worker sweep pool, plan cache on vs off.
-//! Chaos schedules, failure masking, re-anchoring, and the retry cascade
-//! must all be pure functions of the input stream. Eight churn cells
-//! also pin golden decision counts, each run twice with equal stats.
+//! executed — serial vs an 8-worker sweep pool, oracle tripwire on vs
+//! off. Chaos schedules, failure masking, re-anchoring, and the retry
+//! cascade must all be pure functions of the input stream. Eight churn
+//! cells also pin golden decision counts, each run twice with equal
+//! stats.
 
 use corral_cluster::config::{DataPlacement, SimParams};
 use corral_core::Objective;
@@ -24,13 +25,12 @@ fn cluster() -> ClusterConfig {
     }
 }
 
-fn config(cache: bool) -> ServeConfig {
+fn config(tripwire: bool) -> ServeConfig {
     ServeConfig {
         cluster: cluster(),
         objective: Objective::AvgCompletionTime,
-        tripwire: true,
+        tripwire,
         failure_threshold: 0.1,
-        cache_capacity: if cache { 256 } else { 0 },
         ..ServeConfig::default()
     }
 }
@@ -60,9 +60,9 @@ fn stream(seed: u64) -> Vec<ServeEvent> {
 }
 
 /// Runs one cell and renders its decisions exactly as the wire would.
-fn formatted_decisions(seed: u64, cache: bool) -> String {
+fn formatted_decisions(seed: u64, tripwire: bool) -> String {
     let mut out = Vec::new();
-    let stats = Scheduler::new(config(cache)).run(stream(seed), &mut out);
+    let stats = Scheduler::new(config(tripwire)).run(stream(seed), &mut out);
     assert_eq!(stats.decisions as usize, out.len());
     assert!(stats.machine_failures > 0, "churn must be non-empty");
     out.iter()
@@ -73,9 +73,9 @@ fn formatted_decisions(seed: u64, cache: bool) -> String {
 
 /// Runs the full seed grid on a pool of `workers` threads; results are
 /// collected in cell-index order.
-fn run_grid(workers: usize, cache: bool) -> Vec<String> {
+fn run_grid(workers: usize, tripwire: bool) -> Vec<String> {
     let pool = SweepPool::new(workers);
-    pool.run_all(SEEDS.len(), |i| formatted_decisions(SEEDS[i], cache))
+    pool.run_all(SEEDS.len(), |i| formatted_decisions(SEEDS[i], tripwire))
 }
 
 #[test]
@@ -92,12 +92,12 @@ fn chaos_streams_are_identical_across_pool_widths() {
 }
 
 #[test]
-fn chaos_streams_are_identical_with_cache_on_or_off() {
-    let cached = run_grid(4, true);
-    let uncached = run_grid(4, false);
+fn chaos_streams_are_identical_with_tripwire_on_or_off() {
+    let checked = run_grid(4, true);
+    let unchecked = run_grid(4, false);
     assert_eq!(
-        cached, uncached,
-        "the plan cache is memoization only — it must never change decisions"
+        checked, unchecked,
+        "the oracle tripwire only asserts — it must never change decisions"
     );
 }
 

@@ -5,8 +5,7 @@
 //! dispatches and completions summed) is exact: drift means admission,
 //! replanning or the dispatch timer cascade changed behavior. The small
 //! and recurring cells run with the oracle tripwire armed, so every
-//! incremental or cache-served replan is also checked plan-equal to a
-//! fresh batch plan.
+//! incremental replan is also checked plan-equal to a fresh batch plan.
 //!
 //! The `w1-xl` cell takes over a minute in a debug build, so it is
 //! `#[ignore]`d here and run by CI's release step:
@@ -37,8 +36,8 @@ const XL: Cell = ("w1-xl", "w1", 320, 334, 0x5E48, false, 960);
 
 /// The cell's arrival stream. W1/W2 arrive uniformly over an hour; the
 /// recurring stream replays one W1 template every two hours, so each run
-/// drains before the next arrives and the replan key recurs exactly —
-/// the cell that lands plan-cache hits.
+/// drains before the next arrives and every admission replans the same
+/// now-relative problem.
 fn stream(workload: &str, jobs: usize, seed: u64) -> Vec<ServeEvent> {
     let scale = Scale::bench_default();
     let mut specs: Vec<JobSpec> = match workload {

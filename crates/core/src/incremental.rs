@@ -36,9 +36,7 @@ use std::collections::BTreeMap;
 /// A 64-bit FNV-1a fingerprint of a job profile's *structure*: every
 /// field that [`LatencyModel::build`] reads, via `f64::to_bits` for
 /// exactness. Two profiles with equal fingerprints produce bit-identical
-/// latency tables (same cluster, same options); the fingerprint is also
-/// the "job template hash" component of the serve-layer plan-cache key,
-/// so recurring submissions of the same template collide on purpose.
+/// latency tables (same cluster, same options).
 pub fn profile_fingerprint(profile: &JobProfile) -> u64 {
     let mut h = Fnv64::new();
     match profile {

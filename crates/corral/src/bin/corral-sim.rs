@@ -79,7 +79,7 @@ USAGE:
                  [--probe <probe.prom>] [--summary]
   corral-sim serve <events.jsonl|trace.csv|->
                  [--objective makespan|avgjct] [--cluster testbed|sim2000|tiny]
-                 [--max-queue N] [--cache N] [--tripwire] [--strict]
+                 [--max-queue N] [--tripwire] [--strict]
                  [--no-fallback] [--fail-threshold F] [--retries N]
                  [--backoff SECS] [--churn-mtbf SECS] [--churn-repair SECS]
                  [--churn-horizon SECS] [--churn-seed S]
@@ -111,13 +111,13 @@ Serve: runs the planner as a resident scheduling service over a JSONL
 event stream (one {{\"type\":\"arrival\",...}} or {{\"type\":\"completion\",...}}
 object per line; a .csv trace is adapted to pure arrivals, '-' reads
 stdin). Decisions stream to stdout (or --decisions FILE) as JSONL.
-Every arrival/completion replans the queue incrementally against a plan
-cache; --tripwire re-runs the full batch planner as an oracle on every
-replan and aborts on any divergence. --snapshot FILE --snapshot-after N
-stops after N input events and writes resumable, checksummed scheduler
-state; --restore FILE resumes, skipping the already-consumed prefix of
-the input — the combined decision stream is byte-identical to the
-uninterrupted run.
+Every arrival/completion replans the queue incrementally (latency tables
+are reused across replans); --tripwire re-runs the full batch planner as
+an oracle on every replan and aborts on any divergence. --snapshot FILE
+--snapshot-after N stops after N input events and writes resumable,
+checksummed scheduler state; --restore FILE resumes, skipping the
+already-consumed prefix of the input — the combined decision stream is
+byte-identical to the uninterrupted run.
 
 Failures: machine_failed / machine_repaired / rack_failed events flow
 through the same stream. By default the scheduler masks dead capacity
@@ -282,11 +282,10 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use corral::serve::{chaos, snapshot, source, wire, ChaosSpec, Scheduler, ServeConfig};
 
-    const SERVE_VALUE_FLAGS: [&str; 16] = [
+    const SERVE_VALUE_FLAGS: [&str; 15] = [
         "--objective",
         "--cluster",
         "--max-queue",
-        "--cache",
         "--decisions",
         "--snapshot",
         "--snapshot-after",
@@ -327,7 +326,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         cluster,
         objective: objective_flag(&f)?,
         max_queue: f.parse_or("--max-queue", 64)?,
-        cache_capacity: f.parse_or("--cache", 256)?,
         tripwire: f.has("--tripwire"),
         fallback: !f.has("--no-fallback"),
         failure_threshold: f.parse_or("--fail-threshold", 0.5)?,
@@ -447,8 +445,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             s.unknown_completions,
         );
         eprintln!(
-            "plans: {} cache hits, {} misses; {} incremental replans, {} full",
-            s.cache_hits, s.cache_misses, s.replans_incremental, s.replans_full,
+            "plans: {} incremental replans, {} full",
+            s.replans_incremental, s.replans_full,
         );
         eprintln!(
             "failures: {} machine down, {} repaired, {} racks down; \

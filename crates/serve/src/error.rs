@@ -1,12 +1,12 @@
 //! Structured errors for the serving stack.
 //!
 //! Every fallible seam of the service — wire parsing, snapshot
-//! encode/decode, stream reading, the channel transport — returns a
-//! [`ServeError`] instead of panicking or stringly-typed errors. The
-//! variants matter operationally: a frontend retries `Overloaded`,
-//! surfaces `Parse` as a per-line diagnostic (the lossy reader turns it
-//! into a [`crate::ServeEvent::Malformed`] event instead), and treats
-//! `Snapshot`/`Config` as "do not start from this state".
+//! encode/decode, stream reading — returns a [`ServeError`] instead of
+//! panicking or stringly-typed errors. The variants matter
+//! operationally: a frontend surfaces `Parse` as a per-line diagnostic
+//! (the lossy reader turns it into a [`crate::ServeEvent::Malformed`]
+//! event instead), and treats `Snapshot`/`Config` as "do not start from
+//! this state".
 
 use std::fmt;
 
@@ -29,11 +29,6 @@ pub enum ServeError {
     Config(String),
     /// An underlying I/O error while reading a stream.
     Io(String),
-    /// The bounded transport queue is full; the event was shed back to
-    /// the caller instead of growing an unbounded buffer.
-    Overloaded,
-    /// The service thread is gone (channel disconnected).
-    Disconnected,
 }
 
 impl ServeError {
@@ -66,8 +61,6 @@ impl fmt::Display for ServeError {
             ServeError::Snapshot(msg) => write!(f, "snapshot: {msg}"),
             ServeError::Config(msg) => write!(f, "config: {msg}"),
             ServeError::Io(msg) => write!(f, "io: {msg}"),
-            ServeError::Overloaded => write!(f, "service transport queue is full (event shed)"),
-            ServeError::Disconnected => write!(f, "service thread hung up"),
         }
     }
 }
@@ -93,8 +86,9 @@ mod tests {
             "snapshot: checksum mismatch"
         );
         // Non-parse variants ignore line attribution.
-        assert_eq!(ServeError::Overloaded.at_line(3), ServeError::Overloaded);
-        let s: String = ServeError::Disconnected.into();
-        assert!(s.contains("hung up"));
+        let io = ServeError::Io("broken pipe".into());
+        assert_eq!(io.clone().at_line(3), io);
+        let s: String = io.into();
+        assert_eq!(s, "io: broken pipe");
     }
 }

@@ -14,7 +14,6 @@
 //! `cluster::engine::on_failure`).
 
 use corral_model::{ClusterConfig, MachineId, RackId};
-use corral_trace::fnv::Fnv64;
 
 /// Per-machine liveness for the serving cluster, plus the per-rack
 /// aggregates the §7 fallback rule reads.
@@ -83,25 +82,6 @@ impl Topology {
             .filter(|(_, d)| **d)
             .map(|(i, _)| MachineId::from_index(i))
             .collect()
-    }
-
-    /// FNV-1a fingerprint of the dead-machine set; `0` when everything
-    /// is live, so cache keys from before any failure (and after full
-    /// repair) coincide.
-    pub(crate) fn dead_fp(&self) -> u64 {
-        let mut h = Fnv64::new();
-        let mut any = false;
-        for (i, d) in self.dead.iter().enumerate() {
-            if *d {
-                any = true;
-                h.u64(i as u64);
-            }
-        }
-        if any {
-            h.finish()
-        } else {
-            0
-        }
     }
 
     /// Fraction of machines down across `racks` (0.0 for an empty set).
@@ -222,7 +202,7 @@ mod tests {
     #[test]
     fn machine_lifecycle_and_rack_masking() {
         let mut t = Topology::new(&cluster());
-        assert_eq!(t.dead_fp(), 0);
+        assert!(t.dead_machines().is_empty());
         assert!(t.fail_machine(MachineId(0)));
         assert!(!t.fail_machine(MachineId(0)), "double-fail is a no-op");
         assert!(t.fail_machine(MachineId(1)));
@@ -234,14 +214,12 @@ mod tests {
             t.dead_machines(),
             vec![MachineId(0), MachineId(1), MachineId(2)]
         );
-        let fp = t.dead_fp();
-        assert_ne!(fp, 0);
-        // Repair back to zero dead restores the empty fingerprint.
+        // Repair back to zero dead empties the dead set.
         assert!(t.repair_machine(MachineId(0)));
         assert!(!t.repair_machine(MachineId(0)), "double-repair is a no-op");
         assert!(t.repair_machine(MachineId(1)));
         assert!(t.repair_machine(MachineId(2)));
-        assert_eq!(t.dead_fp(), 0);
+        assert!(t.dead_machines().is_empty());
         // Out-of-range ids are ignored, not panics.
         assert!(!t.fail_machine(MachineId(999)));
         assert!(!t.repair_machine(MachineId(999)));

@@ -18,15 +18,11 @@
 //!   are reused across replans via
 //!   [`corral_core::IncrementalPlanner`]; the full
 //!   [`corral_core::plan_jobs_pinned`] stays the oracle, and tripwire
-//!   mode asserts plan-equality on every replan.
-//! * [`cache`] — a plan cache keyed by (cluster-config fingerprint, job
-//!   template hashes, relative arrivals, pins, id-order permutation);
-//!   [`ServeStats`] counts its hits and misses. Replans happen in
-//!   *now-relative* time, so an empty-queue arrival of a recurring
-//!   template hits the cache no matter when it lands.
+//!   mode asserts plan-equality on every replan. Every replan is computed
+//!   by the planner; there is no whole-plan cache.
 //! * [`event`] — the event/decision vocabulary of the service.
-//! * [`source`] — frontends: an in-process channel service and the JSONL
-//!   stream reader behind `corral-sim serve`.
+//! * [`source`] — the strict and lossy JSONL stream readers behind
+//!   `corral-sim serve`, and the batch-trace adapter.
 //! * [`wire`] — the JSONL wire format (events in, decisions out), built
 //!   on [`corral_trace::json`].
 //! * [`snapshot`] — versioned text snapshot/restore of scheduler state;
@@ -40,22 +36,21 @@
 //! flow through the same wire as arrivals. With the §7 fallback on, the
 //! scheduler masks dead capacity behind a **virtual rack map** (the
 //! planner's rack symmetry makes masking exact), re-anchors queued jobs
-//! whose racks died, and keys the plan cache on the dead set. Degraded
-//! modes never panic:
+//! whose racks died. Degraded modes never panic:
 //!
 //! * [`error`] — the structured [`error::ServeError`] every fallible
-//!   serving path returns (malformed lines, corrupt snapshots, overload).
+//!   serving path returns (malformed lines, corrupt snapshots, config
+//!   mismatches).
 //! * [`chaos`] — deterministic seeded failure-schedule injection for
 //!   tests and the chaos golden cells.
 //! * malformed input degrades to [`event::ServeEvent::Malformed`]
-//!   (counted + structured reject), snapshots are checksummed, the
-//!   channel frontend is bounded with explicit shed-load, and dispatch
-//!   onto dead racks retries with backoff before dropping its pins.
+//!   (counted + structured reject), snapshots are checksummed, and
+//!   dispatch onto dead racks retries with backoff before dropping its
+//!   pins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod chaos;
 pub mod driver;
 pub mod error;
@@ -66,10 +61,8 @@ pub mod snapshot;
 pub mod source;
 pub mod wire;
 
-pub use cache::PlanCache;
 pub use chaos::ChaosSpec;
 pub use driver::EngineDriver;
 pub use error::ServeError;
 pub use event::{Decision, RejectCause, ServeEvent};
 pub use scheduler::{Scheduler, ServeConfig, ServeStats};
-pub use source::{spawn_service, spawn_service_bounded, ServiceHandle, ServiceResult};

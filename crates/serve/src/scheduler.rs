@@ -21,19 +21,16 @@
 //! the provisioning/prioritization tail is the same code as the batch
 //! planner, every replan is bit-equal to a fresh
 //! [`corral_core::plan_jobs_pinned`] call on the same inputs — tripwire
-//! mode ([`ServeConfig::tripwire`]) asserts exactly that, cache hits
-//! included.
+//! mode ([`ServeConfig::tripwire`]) asserts exactly that.
 //!
 //! ## Time
 //!
 //! Replans run in *now-relative* time: the newcomer at `0.0`, queued
-//! survivors at their (negative) age. Relative canonicalization is what
-//! lets the plan cache recognize recurring problems, and absolute times
-//! are recovered as `now + rel` when folding the plan back into the
-//! queue. The prioritization phase handles negative arrivals exactly
-//! (task start is `max(rack_free, arrival)`).
+//! survivors at their (negative) age, in canonical `(relative arrival,
+//! id)` order. Absolute times are recovered as `now + rel` when folding
+//! the plan back into the queue. The prioritization phase handles
+//! negative arrivals exactly (task start is `max(rack_free, arrival)`).
 
-use crate::cache::{problem_key, PlanCache};
 use crate::event::{Decision, RejectCause, ServeEvent};
 use crate::fault::{RackMask, Topology};
 use corral_core::{
@@ -44,9 +41,9 @@ use corral_trace::fnv::Fnv64;
 use corral_trace::probe::{self, SpanKind};
 use std::collections::BTreeMap;
 
-/// Service configuration, fixed for the scheduler's lifetime (a plan
-/// cache entry or snapshot is only valid against the exact same
-/// configuration — see [`ServeConfig::fingerprint`]).
+/// Service configuration, fixed for the scheduler's lifetime (a
+/// snapshot is only valid against the exact same configuration — see
+/// [`ServeConfig::fingerprint`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Cluster geometry the planner provisions against.
@@ -58,15 +55,13 @@ pub struct ServeConfig {
     /// Admission bound: arrivals beyond this many queued jobs are
     /// rejected with [`RejectCause::QueueFull`].
     pub max_queue: usize,
-    /// Plan-cache capacity (0 disables the cache).
-    pub cache_capacity: usize,
     /// Self-clocked execution: dispatched jobs complete at their
     /// predicted finish time, synthesized by the scheduler itself.
     /// Disable when an external executor (the cluster engine) reports
     /// completions.
     pub self_clock: bool,
     /// Re-run the full batch oracle on every replan and panic unless
-    /// the incremental (or cache-materialized) plan is equal.
+    /// the incremental plan is equal.
     pub tripwire: bool,
     /// The §7 failure fallback: racks past [`ServeConfig::failure_threshold`]
     /// dead capacity are masked out of the planning problem, and queued
@@ -93,7 +88,6 @@ impl Default for ServeConfig {
             objective: Objective::AvgCompletionTime,
             planner: PlannerConfig::default(),
             max_queue: 64,
-            cache_capacity: 256,
             self_clock: true,
             tripwire: false,
             fallback: true,
@@ -105,9 +99,8 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// FNV-1a fingerprint over everything a plan depends on. Used as
-    /// the config component of cache keys and checked on snapshot
-    /// restore.
+    /// FNV-1a fingerprint over everything a plan depends on, checked on
+    /// snapshot restore.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
         h.u64(2); // format version (v2: failure-path fields below)
@@ -163,9 +156,11 @@ pub struct ServeStats {
     pub late_arrivals: u64,
     /// Completion reports for jobs the service does not know.
     pub unknown_completions: u64,
-    /// Plan-cache hits.
+    /// Always 0: there is no plan cache. Kept, with `cache_misses`, so
+    /// the snapshot `stats` line and the benchmark's counters keep their
+    /// fields.
     pub cache_hits: u64,
-    /// Plan-cache misses.
+    /// Replans computed by the planner, i.e. every replan.
     pub cache_misses: u64,
     /// Replans that reused ≥1 cached latency table.
     pub replans_incremental: u64,
@@ -237,7 +232,6 @@ pub struct Scheduler {
     queue: Vec<Queued>,
     active: BTreeMap<JobId, Active>,
     planner: IncrementalPlanner,
-    cache: PlanCache,
     dispatch_seq: u32,
     stats: ServeStats,
     /// Per-machine liveness (fed by failure/repair events).
@@ -245,8 +239,6 @@ pub struct Scheduler {
     /// Live↔virtual rack map at the current dead set (identity while
     /// fully live or with the fallback off).
     mask: RackMask,
-    /// Dead-set fingerprint mixed into cache keys (0 while fully live).
-    dead_fp: u64,
     /// The virtual cluster the planner and tripwire oracle see
     /// (= `cfg.cluster` with `racks` shrunk to the mask).
     masked_cluster: ClusterConfig,
@@ -263,11 +255,11 @@ enum TopologyChange {
 }
 
 impl Scheduler {
-    /// A fresh scheduler at `t = 0` with empty queue and caches.
+    /// A fresh scheduler at `t = 0` with an empty queue and a cold
+    /// planner.
     pub fn new(cfg: ServeConfig) -> Self {
         let planner =
             IncrementalPlanner::new(cfg.cluster.clone(), cfg.objective, cfg.planner.clone());
-        let cache = PlanCache::new(cfg.cache_capacity);
         let config_fp = cfg.fingerprint();
         let topo = Topology::new(&cfg.cluster);
         let mask = RackMask::identity(cfg.cluster.racks);
@@ -280,12 +272,10 @@ impl Scheduler {
             queue: Vec::new(),
             active: BTreeMap::new(),
             planner,
-            cache,
             dispatch_seq: 0,
             stats: ServeStats::default(),
             topo,
             mask,
-            dead_fp: 0,
             masked_cluster,
             planner_racks,
         }
@@ -342,7 +332,7 @@ impl Scheduler {
     /// cascade it unlocked) are appended to `out` as `(time, decision)`.
     pub fn on_event(&mut self, ev: ServeEvent, out: &mut Vec<(SimTime, Decision)>) {
         // The per-decision latency histogram of the service: intake,
-        // admission, cache probe, replan, and the timer cascade.
+        // admission, replan, and the timer cascade.
         let _probe = probe::span(SpanKind::ServeDecision);
         self.stats.events += 1;
         match ev {
@@ -498,9 +488,9 @@ impl Scheduler {
         let starved = self.cfg.fallback && self.mask.is_empty();
         if !self.queue.is_empty() && !starved {
             // Fully pinned re-timing of the survivors. An empty queue
-            // skips the (trivial, but cache-churning) empty replan; a
-            // fully masked cluster has nothing to plan against, so the
-            // queue stays frozen until capacity returns.
+            // skips the trivial empty replan; a fully masked cluster has
+            // nothing to plan against, so the queue stays frozen until
+            // capacity returns.
             self.replan(None);
         }
     }
@@ -591,16 +581,15 @@ impl Scheduler {
         self.advance_to(self.now, out);
     }
 
-    /// Recomputes the rack mask, dead-set fingerprint, and virtual
-    /// cluster after a topology change; rebuilds the incremental planner
-    /// only when the live rack *count* changed (its latency tables are
-    /// sized by count, not identity).
+    /// Recomputes the rack mask and virtual cluster after a topology
+    /// change; rebuilds the incremental planner only when the live rack
+    /// *count* changed (its latency tables are sized by count, not
+    /// identity).
     fn refresh_mask(&mut self) {
         if !self.cfg.fallback {
             return;
         }
         self.mask = self.topo.mask(self.cfg.failure_threshold);
-        self.dead_fp = self.topo.dead_fp();
         self.masked_cluster = ClusterConfig {
             racks: self.mask.len(),
             ..self.cfg.cluster.clone()
@@ -718,17 +707,17 @@ impl Scheduler {
     }
 
     /// One replan: canonical relative-time problem over the queue (+
-    /// optional unpinned newcomer), cache probe, incremental plan on a
-    /// miss, optional oracle tripwire, fold back into the queue.
+    /// optional unpinned newcomer), incremental plan, optional oracle
+    /// tripwire, fold back into the queue.
     /// Returns the plan in *relative* time, racks remapped to **live**
     /// ids.
     ///
     /// With dead capacity masked, the whole pipeline — problem pins,
-    /// cache entries, planner output, and the tripwire oracle — runs in
-    /// **virtual** rack space (the live racks renumbered `0..n_live`);
-    /// only after the tripwire does the plan remap to live ids. The
-    /// planner's rack symmetry (tables keyed by count, index tie-breaks
-    /// preserved by the monotone map) makes this exact.
+    /// planner output, and the tripwire oracle — runs in **virtual**
+    /// rack space (the live racks renumbered `0..n_live`); only after
+    /// the tripwire does the plan remap to live ids. The planner's rack
+    /// symmetry (tables keyed by count, index tie-breaks preserved by
+    /// the monotone map) makes this exact.
     fn replan(&mut self, newcomer: Option<&JobSpec>) -> Plan {
         let now = self.now;
         let identity = !self.cfg.fallback || self.mask.is_identity();
@@ -780,30 +769,17 @@ impl Scheduler {
         }
         // Canonical order: (relative arrival, id).
         problem.sort_by(|a, b| a.arrival.total_cmp(b.arrival).then(a.id.cmp(&b.id)));
-        let ids: Vec<JobId> = problem.iter().map(|s| s.id).collect();
 
-        let key = problem_key(self.config_fp, self.dead_fp, &problem, &pins);
-        let plan = match self.cache.lookup(key, &ids) {
-            Some(plan) => {
-                self.stats.cache_hits += 1;
-                plan
-            }
-            None => {
-                self.stats.cache_misses += 1;
-                let (plan, rs) = self.planner.plan(&problem, &pins);
-                match rs.kind {
-                    ReplanKind::Incremental => self.stats.replans_incremental += 1,
-                    ReplanKind::Full => self.stats.replans_full += 1,
-                }
-                self.cache.insert(key, &ids, &plan);
-                plan
-            }
-        };
+        self.stats.cache_misses += 1;
+        let (mut plan, rs) = self.planner.plan(&problem, &pins);
+        match rs.kind {
+            ReplanKind::Incremental => self.stats.replans_incremental += 1,
+            ReplanKind::Full => self.stats.replans_full += 1,
+        }
 
         if self.cfg.tripwire {
             // The oracle plans the same virtual problem on the masked
-            // cluster — covering cache hits and post-failure replans
-            // alike (masked_cluster == cfg.cluster while fully live).
+            // cluster (masked_cluster == cfg.cluster while fully live).
             let oracle = plan_jobs_pinned(
                 &self.masked_cluster,
                 &problem,
@@ -825,8 +801,7 @@ impl Scheduler {
         }
 
         // Leave virtual rack space: every plan entry's racks map back to
-        // live ids (the cache kept the virtual-space plan).
-        let mut plan = plan;
+        // live ids.
         if !identity {
             for e in plan.entries.values_mut() {
                 e.racks = self.mask.to_live(&e.racks);
@@ -881,11 +856,11 @@ impl Scheduler {
         )
     }
 
-    /// Rebuilds a scheduler from snapshot state. Planner and plan cache
-    /// start cold — safe, because cached state only ever reproduces
-    /// what a cold replan computes bit-identically. The dead-machine
-    /// set is replayed into the topology so the rack mask, dead-set
-    /// fingerprint, and virtual planner come back exactly.
+    /// Rebuilds a scheduler from snapshot state. The planner starts
+    /// cold — safe, because its cached latency tables only ever
+    /// reproduce what a cold replan computes bit-identically. The
+    /// dead-machine set is replayed into the topology so the rack mask
+    /// and virtual planner come back exactly.
     pub(crate) fn from_parts(
         cfg: ServeConfig,
         now: SimTime,
@@ -1039,13 +1014,12 @@ mod tests {
     }
 
     #[test]
-    fn recurring_template_hits_the_plan_cache() {
+    fn every_replan_goes_to_the_planner() {
         let mut s = Scheduler::new(cfg());
         let mut out = Vec::new();
         // Same template, spaced far enough apart that the queue and
-        // active set are empty at each arrival: after the first miss,
-        // every admission replan is a cache hit (relative-time
-        // canonicalization).
+        // active set are empty at each arrival: every admission replans
+        // the same now-relative problem, and each one is computed.
         for i in 0..5u32 {
             s.on_event(
                 ServeEvent::Arrival(spec(i + 1, i as f64 * 1e5, 4.0)),
@@ -1054,19 +1028,17 @@ mod tests {
         }
         let stats = s.stats();
         assert_eq!(stats.admitted, 5);
-        assert!(
-            stats.cache_hits >= 4,
-            "recurring empty-queue arrivals must hit: {stats:?}"
+        assert_eq!(stats.cache_hits, 0, "there is no plan cache");
+        assert_eq!(stats.cache_misses, 5, "one computed replan per admission");
+        assert_eq!(
+            stats.replans_incremental + stats.replans_full,
+            stats.cache_misses
         );
     }
 
     #[test]
     fn replans_are_incremental_when_the_queue_is_busy() {
-        // Disable the cache to force every replan through the planner.
-        let mut s = Scheduler::new(ServeConfig {
-            cache_capacity: 0,
-            ..cfg()
-        });
+        let mut s = Scheduler::new(cfg());
         let mut out = Vec::new();
         // A burst at t=0: later arrivals replan with survivors queued.
         for id in 1..=4u32 {
@@ -1078,7 +1050,6 @@ mod tests {
             stats.replans_incremental > 0,
             "burst replans reuse cached latency tables: {stats:?}"
         );
-        assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.completed, 4);
     }
 
@@ -1122,7 +1093,6 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.rack_failures, 1);
         assert!(stats.reanchored >= 1, "anchored job must re-anchor");
-        assert_ne!(s.dead_fp, 0);
         assert!(!s.mask.is_identity());
         // The re-anchor decision carries a fresh, live anchor.
         let reanchor = out
@@ -1137,8 +1107,7 @@ mod tests {
             !reanchor.contains(&victim_rack),
             "anchor left the dead rack"
         );
-        // Full repair: mask back to identity, dead fingerprint back to
-        // 0 (pre-failure cache entries valid again).
+        // Full repair: mask back to identity.
         let per_rack = s.cfg.cluster.machines_per_rack;
         for m in 0..per_rack {
             s.on_event(
@@ -1151,7 +1120,7 @@ mod tests {
                 &mut out,
             );
         }
-        assert_eq!(s.dead_fp, 0);
+        assert!(s.topo.dead_machines().is_empty());
         assert!(s.mask.is_identity());
         s.finish(&mut out);
         let stats = s.stats();

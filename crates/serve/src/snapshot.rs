@@ -13,10 +13,10 @@
 //! set (so the rack mask and virtual planner come back exactly), the
 //! admission queue (specs via the `corral-workloads` CSV codec + per-job
 //! plan state), and the active set. What is *not* saved: the incremental
-//! planner's latency tables and the plan cache — both start cold on
-//! restore, which is safe because cached state only reproduces what a
-//! cold replan computes bit-identically (cache warmth affects speed and
-//! probe counters, never decisions).
+//! planner's latency tables — they start cold on restore, which is safe
+//! because a cached table only reproduces what a cold replan computes
+//! bit-identically (table warmth affects speed and the
+//! incremental/full replan split, never decisions).
 //!
 //! The body is integrity-protected: [`write()`] appends a 128-bit FNV
 //! checksum trailer over everything through the `end` marker, and
@@ -26,7 +26,7 @@
 //!
 //! Queued specs ride the MapReduce CSV codec, so snapshots cover the
 //! `corral-sim serve` domain (MapReduce jobs — the JSONL wire format's
-//! own limit); a DAG job submitted through the in-process channel makes
+//! own limit); a DAG job fed to [`Scheduler::on_event`] directly makes
 //! [`write()`] return an error rather than a lossy snapshot.
 
 use crate::error::ServeError;
@@ -39,7 +39,7 @@ use std::fmt::Write as _;
 const MAGIC: &str = "corral-serve-snapshot v2";
 const MAGIC_V1: &str = "corral-serve-snapshot v1";
 
-/// 128-bit body checksum (the same hash as the plan cache's keys).
+/// 128-bit FNV body checksum.
 fn checksum(body: &str) -> (u64, u64) {
     let mut h = Fnv128::new();
     h.bytes(body.as_bytes());
@@ -212,8 +212,8 @@ fn verify_checksum(text: &str) -> Result<&str, ServeError> {
 
 /// Rebuilds a scheduler from [`write()`] output. The checksum trailer is
 /// verified before anything is parsed; `cfg` must fingerprint-match the
-/// snapshotting configuration; the planner and plan cache start cold
-/// (see module docs). The restored scheduler's stats carry on from the
+/// snapshotting configuration; the planner starts cold (see module
+/// docs). The restored scheduler's stats carry on from the
 /// snapshot values — in particular `stats.events` is the number of
 /// input events already consumed, which is what a restoring frontend
 /// skips.
@@ -470,14 +470,12 @@ mod tests {
 
         head.extend(tail);
         assert_eq!(head, full, "snapshot+restore must not change decisions");
-        // Everything *about the decisions* matches. Cache/replan
-        // counters may not: the restored planner and plan cache start
-        // cold, so the tail re-plans problems the warm run had cached —
-        // same plans (that is what the decision equality above proves),
-        // different hit/miss split.
+        // Everything *about the decisions* matches. The incremental/full
+        // split may not: the restored planner starts cold, so the tail
+        // rebuilds latency tables the warm run had cached — same plans
+        // (that is what the decision equality above proves), different
+        // split.
         let normalize = |mut s: ServeStats| {
-            s.cache_hits = 0;
-            s.cache_misses = 0;
             s.replans_incremental = 0;
             s.replans_full = 0;
             s
@@ -551,9 +549,8 @@ mod tests {
         assert!(err.contains("re-snapshot"), "{err}");
     }
 
-    /// Snapshots persist the body checksum and the config fingerprint,
-    /// and cache keys must stay stable across a restore, so the FNV bits
-    /// behind every fingerprint are part of the format. Pinned values for
+    /// Snapshots persist the body checksum and the config fingerprint, so
+    /// the FNV bits behind them are part of the format. Pinned values for
     /// fixed inputs; any change to the hash breaks existing snapshots.
     #[test]
     fn fnv_fingerprints_are_pinned() {
@@ -566,16 +563,54 @@ mod tests {
             checksum("corral-serve-snapshot v2\nnow 12.5\n"),
             (0xa5d7_2068_813e_e7db, 0xa204_cfaa_1c24_5b89)
         );
-        let mut pins = BTreeMap::new();
-        pins.insert(JobId(1), vec![RackId(0), RackId(2)]);
-        let problem = [spec(1, -3.0, 2.0), spec(2, 0.0, 4.0)];
-        assert_eq!(
-            crate::cache::problem_key(42, 7, &problem, &pins),
-            (0x02b4_e29c_f1f1_6f88, 0xd231_1f6e_54a8_4336)
-        );
-        let mut topo = crate::fault::Topology::new(&ClusterConfig::tiny_test());
-        topo.fail_machine(MachineId::from_index(3));
-        topo.fail_machine(MachineId::from_index(17));
-        assert_eq!(topo.dead_fp(), 0xc7c2_bf3b_3309_83e6);
+    }
+
+    /// A v2 snapshot of [`events`] after five events under [`cfg`],
+    /// written by the release that still carried a plan cache and a
+    /// `ServeConfig` field for its capacity (the field was not part of
+    /// the config fingerprint, and the stats line kept its 20 fields).
+    const V2_SNAPSHOT: &str = "\
+corral-serve-snapshot v2
+config 9759622117930658156
+now 11.100000000000001
+dispatch_seq 3
+stats 5 9 4 4 0 3 2 0 0 0 6 4 2 1 0 0 0 0 0 0
+dead 1 0
+queue 1
+id,name,arrival_s,plannable,input_b,shuffle_b,output_b,maps,reduces,map_bps,reduce_bps
+4,j4,11.100000000000001,true,4000000000,1333333333.3333333,571428571.4285713,10,5,47000000,53000000
+qstate 4 0;1;2 1 20.078007175036483 32.048683408418455 11.970676233381973 0
+active 1
+id,name,arrival_s,plannable,input_b,shuffle_b,output_b,maps,reduces,map_bps,reduce_bps
+3,j3,7.4,true,3000000000,1000000000,428571428.57142854,10,5,47000000,53000000
+astate 3 0;1;2 2 9.685338116690987 18.663345291727467
+end
+checksum d1d7c1cab61475e7 c20365e3f761b210
+";
+
+    /// Snapshots written before the plan cache was removed still restore,
+    /// and the resumed decisions equal the uninterrupted run.
+    #[test]
+    fn snapshots_from_the_plan_cache_release_still_restore() {
+        let events = events();
+        let mut full = Vec::new();
+        crate::Scheduler::new(cfg()).run(events.clone(), &mut full);
+
+        // Today's scheduler writes the same bytes at the same point.
+        let mut head = Vec::new();
+        let mut b = crate::Scheduler::new(cfg());
+        for ev in events.iter().take(5) {
+            b.on_event(ev.clone(), &mut head);
+        }
+        assert_eq!(write(&b).unwrap(), V2_SNAPSHOT);
+
+        let mut c = read(V2_SNAPSHOT, cfg()).expect("a v2 snapshot restores");
+        assert_eq!(write(&c).unwrap(), V2_SNAPSHOT, "restore is lossless");
+        let skip = c.stats().events as usize;
+        assert_eq!(skip, 5);
+        let mut tail = Vec::new();
+        c.run(events.into_iter().skip(skip), &mut tail);
+        head.extend(tail);
+        assert_eq!(head, full, "resumed decisions equal the uninterrupted run");
     }
 }

@@ -1,22 +1,11 @@
-//! Event-stream frontends: JSONL readers (strict and lossy), trace
-//! adapters, and the in-process channel service with bounded transport
-//! and shed-load overflow.
+//! Event-stream frontends: JSONL readers (strict and lossy) and the
+//! batch-trace adapter.
 
 use crate::error::ServeError;
-use crate::event::{Decision, ServeEvent};
-use crate::scheduler::{Scheduler, ServeConfig, ServeStats};
+use crate::event::ServeEvent;
 use crate::wire;
-use corral_model::{JobSpec, SimTime};
-use corral_trace::probe;
+use corral_model::JobSpec;
 use std::io::BufRead;
-use std::sync::mpsc;
-
-/// Default transport-channel capacity for [`spawn_service`]: deep
-/// enough to decouple producer bursts from the scheduler, shallow
-/// enough that a stuck consumer surfaces as backpressure (or, via
-/// [`ServiceHandle::try_send`], an explicit shed) instead of unbounded
-/// memory growth.
-pub const DEFAULT_TRANSPORT_CAPACITY: usize = 1024;
 
 /// Reads a JSONL event stream (see [`crate::wire`]) strictly: the first
 /// malformed line aborts with an error carrying its 1-based line
@@ -68,80 +57,10 @@ pub fn events_from_specs(specs: &[JobSpec]) -> Vec<ServeEvent> {
     specs.into_iter().map(ServeEvent::Arrival).collect()
 }
 
-/// Producer handle for an in-process service: send events, then drop
-/// (or [`ServiceHandle::close`]) to let the service drain and finish.
-pub struct ServiceHandle {
-    tx: mpsc::SyncSender<ServeEvent>,
-}
-
-impl ServiceHandle {
-    /// Queues one event, blocking while the transport is full. Errors
-    /// if the service thread is gone.
-    pub fn send(&self, ev: ServeEvent) -> Result<(), ServeError> {
-        self.tx.send(ev).map_err(|_| ServeError::Disconnected)
-    }
-
-    /// Queues one event **without blocking**. When the transport is
-    /// full the event is handed back with [`ServeError::Overloaded`] —
-    /// an explicit shed-load decision for the producer (drop, retry
-    /// later, or divert) instead of silent queue growth. The large
-    /// `Err` is the point: the rejected event rides back un-boxed.
-    #[allow(clippy::result_large_err)]
-    pub fn try_send(&self, ev: ServeEvent) -> Result<(), (ServeEvent, ServeError)> {
-        match self.tx.try_send(ev) {
-            Ok(()) => Ok(()),
-            Err(mpsc::TrySendError::Full(ev)) => Err((ev, ServeError::Overloaded)),
-            Err(mpsc::TrySendError::Disconnected(ev)) => Err((ev, ServeError::Disconnected)),
-        }
-    }
-
-    /// Closes the stream; the service drains its timers and returns.
-    pub fn close(self) {}
-}
-
-/// What the service thread hands back when it drains: the full decision
-/// log and the final stats.
-pub type ServiceResult = (Vec<(SimTime, Decision)>, ServeStats);
-
-/// Spawns the scheduler on its own thread behind a **bounded** channel
-/// frontend ([`DEFAULT_TRANSPORT_CAPACITY`] events). The thread
-/// consumes events until the handle is dropped, runs the scheduler dry,
-/// and returns the full decision log and final stats. (Admission
-/// control bounds the *scheduler's* queue; the channel bounds the
-/// transport buffer — see [`spawn_service_bounded`] to pick the
-/// capacity.)
-pub fn spawn_service(cfg: ServeConfig) -> (ServiceHandle, std::thread::JoinHandle<ServiceResult>) {
-    spawn_service_bounded(cfg, DEFAULT_TRANSPORT_CAPACITY)
-}
-
-/// [`spawn_service`] with an explicit transport capacity. A full
-/// channel blocks [`ServiceHandle::send`] (backpressure) and rejects
-/// [`ServiceHandle::try_send`] (shed load).
-pub fn spawn_service_bounded(
-    cfg: ServeConfig,
-    capacity: usize,
-) -> (ServiceHandle, std::thread::JoinHandle<ServiceResult>) {
-    let (tx, rx) = mpsc::sync_channel::<ServeEvent>(capacity);
-    let join = std::thread::spawn(move || {
-        let mut sched = Scheduler::new(cfg);
-        let mut out = Vec::new();
-        while let Ok(ev) = rx.recv() {
-            sched.on_event(ev, &mut out);
-        }
-        sched.finish(&mut out);
-        let stats = sched.stats();
-        // Probe spans/counters recorded on this thread must be folded
-        // into the global report before the thread dies.
-        probe::flush_thread();
-        (out, stats)
-    });
-    (ServiceHandle { tx }, join)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corral_model::{Bandwidth, Bytes, ClusterConfig, JobId, MapReduceProfile};
+    use corral_model::{Bandwidth, Bytes, JobId, MapReduceProfile, SimTime};
 
     fn spec(id: u32, arrival: f64) -> JobSpec {
         JobSpec::map_reduce(
@@ -214,61 +133,5 @@ mod tests {
             })
             .collect();
         assert_eq!(order, [3, 1, 2]);
-    }
-
-    #[test]
-    fn channel_service_matches_the_inline_scheduler() {
-        let cfg = ServeConfig {
-            cluster: ClusterConfig::tiny_test(),
-            ..ServeConfig::default()
-        };
-        let events: Vec<ServeEvent> = (1..=6u32)
-            .map(|i| ServeEvent::Arrival(spec(i, i as f64 * 3.0)))
-            .collect();
-
-        let (handle, join) = spawn_service(cfg.clone());
-        for ev in &events {
-            handle.send(ev.clone()).unwrap();
-        }
-        handle.close();
-        let (threaded, thread_stats) = join.join().unwrap();
-
-        let mut inline = Vec::new();
-        let inline_stats = Scheduler::new(cfg).run(events, &mut inline);
-        assert_eq!(threaded, inline);
-        assert_eq!(thread_stats, inline_stats);
-    }
-
-    #[test]
-    fn overflow_sheds_explicitly_instead_of_growing() {
-        let cfg = ServeConfig {
-            cluster: ClusterConfig::tiny_test(),
-            ..ServeConfig::default()
-        };
-        // Capacity 1: a fast producer must see Overloaded sheds. How
-        // many is a race (the consumer drains concurrently), but the
-        // conservation law is exact: every event is either delivered or
-        // handed back, and the scheduler consumes exactly the
-        // delivered ones.
-        let (handle, join) = spawn_service_bounded(cfg, 1);
-        let total = 64u32;
-        let mut delivered = 0u64;
-        let mut shed = 0u64;
-        for i in 1..=total {
-            match handle.try_send(ServeEvent::Arrival(spec(i, i as f64))) {
-                Ok(()) => delivered += 1,
-                Err((ev, ServeError::Overloaded)) => {
-                    shed += 1;
-                    // The event comes back intact — a real producer
-                    // could retry or divert it.
-                    assert!(matches!(ev, ServeEvent::Arrival(_)));
-                }
-                Err((_, e)) => panic!("unexpected send error: {e}"),
-            }
-        }
-        handle.close();
-        let (_, stats) = join.join().unwrap();
-        assert_eq!(delivered + shed, total as u64);
-        assert_eq!(stats.events, delivered);
     }
 }

@@ -12,25 +12,14 @@ pub struct TimeWeightedGauge {
     last_t: f64,
     last_v: f64,
     integral: f64,
-    min: f64,
-    max: f64,
 }
 
 impl TimeWeightedGauge {
     /// Sets the gauge to `v` at time `t` (times must be non-decreasing).
     pub fn set(&mut self, t: f64, v: f64) {
         match self.started_at {
-            None => {
-                self.started_at = Some(t);
-                self.min = v;
-                self.max = v;
-            }
-            Some(_) => {
-                let dt = (t - self.last_t).max(0.0);
-                self.integral += self.last_v * dt;
-                self.min = self.min.min(v);
-                self.max = self.max.max(v);
-            }
+            None => self.started_at = Some(t),
+            Some(_) => self.integral += self.last_v * (t - self.last_t).max(0.0),
         }
         self.last_t = t;
         self.last_v = v;
@@ -40,11 +29,6 @@ impl TimeWeightedGauge {
     pub fn add(&mut self, t: f64, delta: f64) {
         let v = self.last_v + delta;
         self.set(t, v);
-    }
-
-    /// The current level.
-    pub fn value(&self) -> f64 {
-        self.last_v
     }
 
     /// Time-weighted mean over `[first_set, end_t]`, or `None` if the
@@ -58,16 +42,6 @@ impl TimeWeightedGauge {
         let tail = (end_t - self.last_t).max(0.0);
         Some((self.integral + self.last_v * tail) / span)
     }
-
-    /// Smallest level ever set.
-    pub fn min(&self) -> Option<f64> {
-        self.started_at.map(|_| self.min)
-    }
-
-    /// Largest level ever set.
-    pub fn max(&self) -> Option<f64> {
-        self.started_at.map(|_| self.max)
-    }
 }
 
 #[cfg(test)]
@@ -80,9 +54,6 @@ mod tests {
         g.set(0.0, 2.0); // level 2 over [0, 10)
         g.set(10.0, 4.0); // level 4 over [10, 20)
         assert_eq!(g.time_avg(20.0), Some(3.0));
-        assert_eq!(g.min(), Some(2.0));
-        assert_eq!(g.max(), Some(4.0));
-        assert_eq!(g.value(), 4.0);
     }
 
     #[test]
