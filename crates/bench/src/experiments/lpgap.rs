@@ -34,6 +34,7 @@ fn latency_tables(
 /// Batch gap for one workload: (heuristic makespan, LP bound, gap %).
 pub fn batch_gap(jobs: &[corral_model::JobSpec], cfg: &ClusterConfig) -> (f64, f64, f64) {
     let (models, tables) = latency_tables(jobs, cfg);
+    let models: Vec<&LatencyModel> = models.iter().collect();
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, SimTime::ZERO)).collect();
     let pins = vec![None; meta.len()];
     let heur = provision(
@@ -58,6 +59,7 @@ pub fn heuristic_variants(
     objective: Objective,
 ) -> (f64, f64) {
     let (models, _) = latency_tables(jobs, cfg);
+    let models: Vec<&LatencyModel> = models.iter().collect();
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
     let pins = vec![None; meta.len()];
     let full = provision(
@@ -88,6 +90,7 @@ pub fn online_gap(
     epochs: usize,
 ) -> (f64, f64, f64) {
     let (models, tables) = latency_tables(jobs, cfg);
+    let models: Vec<&LatencyModel> = models.iter().collect();
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
     let pins = vec![None; meta.len()];
     let out = provision(

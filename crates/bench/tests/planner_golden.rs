@@ -345,7 +345,7 @@ fn planner_agrees_with_frozen_reference_oracle_on_golden_workload() {
         let meta: Vec<(JobId, SimTime)> = p.jobs.iter().map(|j| (j.id, j.arrival)).collect();
         let pins: Vec<_> = p.jobs.iter().map(|j| p.pins.get(&j.id).cloned()).collect();
         let oracle = provision_reference(
-            &models,
+            &models.iter().collect::<Vec<_>>(),
             &meta,
             &pins,
             p.cfg.racks,

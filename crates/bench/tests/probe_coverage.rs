@@ -19,13 +19,14 @@ use corral_sweep::SweepPool;
 use corral_trace::probe::{self, SpanKind};
 use corral_workloads::{assign_uniform_arrivals, w1, Scale};
 
-const REQUIRED_SPANS: [SpanKind; 8] = [
+const REQUIRED_SPANS: [SpanKind; 9] = [
     SpanKind::FabricRecompute,
     SpanKind::FabricMaxMin,
     SpanKind::CandidateScore,
     SpanKind::Provision,
     SpanKind::PlanDecision,
     SpanKind::EngineEvent,
+    SpanKind::EngineDispatch,
     SpanKind::SweepCell,
     SpanKind::ServeDecision,
 ];
@@ -33,13 +34,14 @@ const REQUIRED_SPANS: [SpanKind; 8] = [
 /// The four labels perfbench reads by name (`perfbench/src/main.rs`):
 /// renaming or dropping one would silently zero a perfbench metric.
 /// Plus the Varys scratch footprint gauge, which only the Varys runs
-/// feed.
-const REQUIRED_COUNTERS: [&str; 5] = [
+/// feed, and the engine's dispatch cost counter.
+const REQUIRED_COUNTERS: [&str; 6] = [
     "maxmin.rounds",
     "fabric.dirty_flows_sum",
     "fabric.dirty_flows_samples",
     "planner.heap_pops",
     "fabric.varys_scratch_elems",
+    "engine.picks",
 ];
 
 #[test]

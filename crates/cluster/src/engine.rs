@@ -91,6 +91,63 @@ struct EngineScratch {
     /// Recycled per-task flow-list vectors: moved into `task_flows` on
     /// spawn, returned here (cleared) when the task ends.
     flow_lists: Vec<Vec<(FlowId, MachineId, MachineId)>>,
+    /// Racks whose policy declined a machine in the current dispatch pass.
+    declined_racks: Vec<bool>,
+}
+
+/// Machines worth re-offering to the policy, kept in dispatch order.
+///
+/// Each machine is keyed by its *rack-interleaved* ordinal
+/// `position in rack * racks + rack`, so `pop_first` yields the next
+/// machine [`Engine::dispatch`] visits without a scan. Every insert and
+/// removal goes through the same key.
+#[derive(Debug)]
+struct DirtyMachines {
+    set: BTreeSet<u32>,
+    racks: usize,
+    machines_per_rack: usize,
+}
+
+impl DirtyMachines {
+    fn new(racks: usize, machines_per_rack: usize) -> Self {
+        DirtyMachines {
+            set: BTreeSet::new(),
+            racks,
+            machines_per_rack,
+        }
+    }
+
+    fn key(&self, m: MachineId) -> u32 {
+        let (rack, pos) = (
+            m.index() / self.machines_per_rack,
+            m.index() % self.machines_per_rack,
+        );
+        (pos * self.racks + rack) as u32
+    }
+
+    fn insert(&mut self, m: MachineId) {
+        let key = self.key(m);
+        self.set.insert(key);
+    }
+
+    fn remove(&mut self, m: MachineId) {
+        let key = self.key(m);
+        self.set.remove(&key);
+    }
+
+    fn pop_first(&mut self) -> Option<MachineId> {
+        let key = self.set.pop_first()? as usize;
+        let (rack, pos) = (key % self.racks, key / self.racks);
+        Some(MachineId::from_index(rack * self.machines_per_rack + pos))
+    }
+
+    fn len(&self) -> usize {
+        self.set.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
 }
 
 /// The simulator. Construct with [`Engine::new`], then call [`Engine::run`].
@@ -117,7 +174,9 @@ pub struct Engine {
     rng: StdRng,
     metrics: BTreeMap<JobId, JobMetrics>,
     /// Machines worth re-offering to the policy.
-    dirty_machines: BTreeSet<MachineId>,
+    dirty_machines: DirtyMachines,
+    /// Jobs not finished yet (the run ends when this reaches zero).
+    unfinished_jobs: usize,
     job_index: BTreeMap<JobId, usize>,
     scheduler_label: String,
     /// The policy kind the engine was built with; late submissions
@@ -159,6 +218,8 @@ impl Engine {
             j.validate().expect("invalid job spec");
         }
         let machines = params.cluster.total_machines();
+        let dirty_machines =
+            DirtyMachines::new(params.cluster.racks, params.cluster.machines_per_rack);
         let policy = match params.net {
             NetPolicy::Tcp => RatePolicy::FairShare,
             NetPolicy::Varys => RatePolicy::Varys,
@@ -231,7 +292,8 @@ impl Engine {
             coflows: BTreeMap::new(),
             rng: StdRng::seed_from_u64(0),
             metrics: BTreeMap::new(),
-            dirty_machines: BTreeSet::new(),
+            dirty_machines,
+            unfinished_jobs: jobs.len(),
             job_index,
             scheduler_label: String::new(),
             kind,
@@ -466,6 +528,7 @@ impl Engine {
                 },
             );
             self.st.jobs.push(j);
+            self.unfinished_jobs += 1;
         }
 
         // Ingest under the engine RNG (same swap pattern as construction:
@@ -579,7 +642,7 @@ impl Engine {
                 self.handle_event(ev);
             }
             self.dispatch();
-            if self.all_jobs_finished() {
+            if self.unfinished_jobs == 0 {
                 return false;
             }
         }
@@ -732,10 +795,6 @@ impl Engine {
         self.mark_all_machines_dirty();
     }
 
-    fn all_jobs_finished(&self) -> bool {
-        self.st.jobs.iter().all(|j| j.is_finished())
-    }
-
     // ------------------------------------------------------------------
     // Dispatch
     // ------------------------------------------------------------------
@@ -756,21 +815,52 @@ impl Engine {
     /// ones. The planner's latency model assumes exactly this uniform
     /// spread (§4.3), and packing would saturate individual racks and
     /// starve the jobs planned onto them.
+    ///
+    /// A launch only starts flows and schedules events, so nothing is
+    /// dirtied during a pass and the walk is a plain `pop_first` loop.
+    /// Under a policy whose declines are per rack
+    /// ([`TaskScheduler::declines_per_rack`]), the first decline in a rack
+    /// skips the rest of that rack for the pass: launches only shrink the
+    /// pending lists, so its other machines would decline too.
     fn dispatch(&mut self) {
+        if self.dirty_machines.is_empty() {
+            return;
+        }
+        let _probe = probe::span(probe::SpanKind::EngineDispatch);
         let k = self.st.params.cluster.machines_per_rack;
-        while let Some(&m) = self
-            .dirty_machines
-            .iter()
-            .min_by_key(|m| (m.index() % k, m.index() / k))
-        {
+        let skip_declined = self.policy.declines_per_rack();
+        let mut declined = std::mem::take(&mut self.scratch.declined_racks);
+        declined.clear();
+        declined.resize(self.st.params.cluster.racks, false);
+        let mut picks = 0;
+        while let Some(m) = self.dirty_machines.pop_first() {
+            let rack = m.index() / k;
+            if declined[rack] {
+                continue;
+            }
             while !self.st.dead[m.index()] && self.st.free_slots[m.index()] > 0 {
+                picks += 1;
                 match self.policy.pick(m, &self.st) {
-                    Some(pick) => self.launch(pick, m),
-                    None => break,
+                    Some(pick) => {
+                        let dirty = self.dirty_machines.len();
+                        self.launch(pick, m);
+                        debug_assert_eq!(
+                            self.dirty_machines.len(),
+                            dirty,
+                            "a launch dirtied a machine mid-dispatch"
+                        );
+                    }
+                    None => {
+                        if skip_declined {
+                            declined[rack] = true;
+                        }
+                        break;
+                    }
                 }
             }
-            self.dirty_machines.remove(&m);
         }
+        self.scratch.declined_racks = declined;
+        probe::count(probe::ProbeCounter::EnginePicks, picks);
     }
 
     /// Places a task attempt on machine `m` per the policy's `pick`.
@@ -1516,6 +1606,7 @@ impl Engine {
             let job = &mut self.st.jobs[ji];
             if job.stages_done == job.stages.len() {
                 job.finished_at = Some(now);
+                self.unfinished_jobs -= 1;
                 if let Some(mm) = self.metrics.get_mut(&job.spec.id) {
                     mm.finished = Some(now);
                 }
@@ -1562,7 +1653,7 @@ impl Engine {
             self.st.dead[m.index()] = true;
             self.st.free_slots[m.index()] = 0;
             self.dfs.kill_machine(m);
-            self.dirty_machines.remove(&m);
+            self.dirty_machines.remove(m);
         }
         if self.trace_on {
             for &m in &victims {
@@ -1708,7 +1799,7 @@ impl Engine {
             .iter()
             .filter_map(|j| j.finished_at)
             .fold(SimTime::ZERO, SimTime::max);
-        let unfinished = self.st.jobs.iter().filter(|j| !j.is_finished()).count();
+        let unfinished = self.unfinished_jobs;
         let (edge_utilization, core_utilization) = self.fabric.class_utilization();
         let makespan = if unfinished > 0 && self.horizon_hit {
             self.st.params.horizon

@@ -41,6 +41,17 @@ pub trait TaskScheduler: Send {
     /// machine-local data (used by delay scheduling to reset wait
     /// counters). Default: ignore.
     fn on_local_launch(&mut self, _job_idx: usize) {}
+
+    /// True when a `None` from [`TaskScheduler::pick`] depends only on the
+    /// machine's rack and on job state, and `pick` changes no policy
+    /// state. The engine then skips the rest of a rack for the current
+    /// dispatch pass once one of its machines declines, since a launch
+    /// can only shrink the pending lists. Default: `false` (every free
+    /// slot is offered); [`CapacityScheduler`] keeps it, because its
+    /// `pick` advances the delay-scheduling waits.
+    fn declines_per_rack(&self) -> bool {
+        false
+    }
 }
 
 /// Which scheduler (and companion behaviors) a run uses. See the paper's

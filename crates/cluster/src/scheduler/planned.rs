@@ -34,6 +34,9 @@ impl PlannedScheduler {
     }
 }
 
+/// The shared slot rule. It returns `None` only when no job allowed on the
+/// machine's rack has a dispatchable stage, so a decline holds for the
+/// whole rack (both policies report [`TaskScheduler::declines_per_rack`]).
 fn planned_pick(machine: MachineId, st: &ClusterState) -> Option<Pick> {
     let rack = st.params.cluster.rack_of(machine);
     for &ji in &st.prio_order {
@@ -97,6 +100,10 @@ impl TaskScheduler for PlannedScheduler {
     fn pick(&mut self, machine: MachineId, st: &ClusterState) -> Option<Pick> {
         planned_pick(machine, st)
     }
+
+    fn declines_per_rack(&self) -> bool {
+        true
+    }
 }
 
 /// ShuffleWatcher's slot policy: identical mechanics; the engine assigns
@@ -118,5 +125,9 @@ impl TaskScheduler for ShuffleWatcherScheduler {
 
     fn pick(&mut self, machine: MachineId, st: &ClusterState) -> Option<Pick> {
         planned_pick(machine, st)
+    }
+
+    fn declines_per_rack(&self) -> bool {
+        true
     }
 }

@@ -169,25 +169,22 @@ impl IncrementalPlanner {
 
         let mut reused = 0usize;
         let mut built = 0usize;
-        let mut models: Vec<LatencyModel> = Vec::with_capacity(plannable.len());
         for j in &plannable {
             let fp = profile_fingerprint(&j.profile);
             match self.models.get(&j.id) {
-                Some((cached_fp, m)) if *cached_fp == fp => {
-                    reused += 1;
-                    models.push(m.clone());
-                }
+                Some((cached_fp, _)) if *cached_fp == fp => reused += 1,
                 stale => {
                     if stale.is_some() {
                         evicted += 1;
                     }
                     built += 1;
                     let m = LatencyModel::build(&j.profile, &self.cfg, &self.planner.response);
-                    self.models.insert(j.id, (fp, m.clone()));
-                    models.push(m);
+                    self.models.insert(j.id, (fp, m));
                 }
             }
         }
+        // Every table is cached now; the planner borrows them.
+        let models: Vec<&LatencyModel> = plannable.iter().map(|j| &self.models[&j.id].1).collect();
 
         let kind = if reused > 0 {
             ReplanKind::Incremental

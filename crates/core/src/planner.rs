@@ -94,6 +94,7 @@ pub fn plan_jobs_pinned(
         .iter()
         .map(|j| pinned.get(&j.id).cloned())
         .collect();
+    let models: Vec<&LatencyModel> = models.iter().collect();
     plan_with_models(&models, &meta, &pins, cfg.racks, objective)
 }
 
@@ -103,7 +104,7 @@ pub fn plan_jobs_pinned(
 /// incremental planner is bit-identical to the batch oracle by
 /// construction (its only delta is *where the models come from*).
 pub(crate) fn plan_with_models(
-    models: &[LatencyModel],
+    models: &[&LatencyModel],
     meta: &[(corral_model::JobId, SimTime)],
     pins: &[Option<Vec<RackId>>],
     total_racks: usize,

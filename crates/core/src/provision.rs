@@ -120,7 +120,7 @@ pub fn validate_pins(pins: &[Option<Vec<RackId>>], total_racks: usize) -> Vec<Op
 /// * `objective` — what to minimize (selects the online sort order too);
 /// * `mode` — how far the widening loop explores.
 pub fn provision(
-    models: &[LatencyModel],
+    models: &[&LatencyModel],
     jobs: &[(JobId, SimTime)],
     pins: &[Option<Vec<RackId>>],
     total_racks: usize,
@@ -255,7 +255,7 @@ impl Ord for Widen {
 /// candidate clones nothing.
 fn candidate_view<'a>(
     w: &'a [usize],
-    models: &'a [LatencyModel],
+    models: &'a [&'a LatencyModel],
     jobs: &'a [(JobId, SimTime)],
     pins: &'a [Option<Vec<RackId>>],
 ) -> impl Fn(usize) -> PrioritizeJob<'a> + 'a {
@@ -287,13 +287,17 @@ mod tests {
     ) -> ProvisionOutcome {
         let pins = vec![None; jobs.len()];
         provision(
-            models,
+            &refs(models),
             jobs,
             &pins,
             racks,
             objective,
             ProvisionMode::Exhaustive,
         )
+    }
+
+    fn refs(models: &[LatencyModel]) -> Vec<&LatencyModel> {
+        models.iter().collect()
     }
 
     fn model(input_gb: f64, shuffle_gb: f64, tasks: usize, cfg: &ClusterConfig) -> LatencyModel {
@@ -410,7 +414,7 @@ mod tests {
         let jobs = vec![(JobId(0), SimTime::ZERO), (JobId(1), SimTime::ZERO)];
         let pins = vec![Some(vec![RackId(5), RackId(6)]), None];
         let out = provision(
-            &models,
+            &refs(&models),
             &jobs,
             &pins,
             c.racks,
@@ -432,7 +436,7 @@ mod tests {
         let jobs = vec![(JobId(0), SimTime::ZERO), (JobId(1), SimTime::ZERO)];
         let pins = vec![Some(vec![RackId(99), RackId(5), RackId(5)]), None];
         let out = provision(
-            &models,
+            &refs(&models),
             &jobs,
             &pins,
             c.racks,
@@ -449,7 +453,7 @@ mod tests {
         // A pin that is *entirely* out of range un-pins the job.
         let pins = vec![Some(vec![RackId(99)]), None];
         let out = provision(
-            &models,
+            &refs(&models),
             &jobs,
             &pins,
             c.racks,
@@ -475,7 +479,7 @@ mod tests {
                 (0..8).map(|i| (JobId(i as u32), SimTime::ZERO)).collect();
             let pins = vec![None; jobs.len()];
             let full = provision(
-                &models,
+                &refs(&models),
                 &jobs,
                 &pins,
                 c.racks,
@@ -483,7 +487,7 @@ mod tests {
                 ProvisionMode::Exhaustive,
             );
             let early = provision(
-                &models,
+                &refs(&models),
                 &jobs,
                 &pins,
                 c.racks,

@@ -113,7 +113,8 @@ proptest! {
             .collect();
         let meta: Vec<_> = (0..profiles.len()).map(|i| (JobId(i as u32), SimTime::ZERO)).collect();
         let pins = vec![None; meta.len()];
-        let heur = provision(&models, &meta, &pins, cfg.racks, Objective::Makespan, ProvisionMode::Exhaustive)
+        let refs: Vec<&LatencyModel> = models.iter().collect();
+        let heur = provision(&refs, &meta, &pins, cfg.racks, Objective::Makespan, ProvisionMode::Exhaustive)
             .objective_value;
         let lp = batch_lower_bound(&tables, cfg.racks).expect("lp optimal");
         prop_assert!(heur >= lp - 1e-6 * lp.max(1.0), "heur {heur} below LP {lp}");

@@ -127,12 +127,11 @@ proptest! {
         for objective in [Objective::Makespan, Objective::AvgCompletionTime] {
             for mode in [ProvisionMode::Exhaustive, ProvisionMode::EarlyStop] {
                 let label = format!("{objective:?}/{mode:?}");
+                let models: Vec<&LatencyModel> = case.models.iter().collect();
                 let reference = provision_reference(
-                    &case.models, &case.jobs, &case.pins, case.racks, objective, mode,
+                    &models, &case.jobs, &case.pins, case.racks, objective, mode,
                 );
-                let fast = provision(
-                    &case.models, &case.jobs, &case.pins, case.racks, objective, mode,
-                );
+                let fast = provision(&models, &case.jobs, &case.pins, case.racks, objective, mode);
                 assert_identical(&label, &reference, &fast);
             }
         }

@@ -22,7 +22,7 @@ use corral_model::{JobId, RackId, SimTime};
 /// changes belong in the fast path, proven equivalent by
 /// `prop_provision.rs`.
 pub fn provision_reference(
-    models: &[LatencyModel],
+    models: &[&LatencyModel],
     jobs: &[(JobId, SimTime)],
     pins: &[Option<Vec<RackId>>],
     total_racks: usize,

@@ -27,7 +27,8 @@ pub enum ServeError {
     /// The snapshot or request does not match the service configuration
     /// (fingerprint mismatch).
     Config(String),
-    /// An underlying I/O error while reading a stream.
+    /// An underlying I/O error while reading a stream (the readers in
+    /// [`crate::source`] prefix the 1-based line number: `line N: …`).
     Io(String),
 }
 

@@ -14,8 +14,7 @@ use std::io::BufRead;
 pub fn read_events(reader: impl BufRead) -> Result<Vec<ServeEvent>, ServeError> {
     let mut events = Vec::new();
     for (i, line) in reader.lines().enumerate() {
-        let line =
-            line.map_err(|e| ServeError::parse(format!("read error: {e}")).at_line(i as u64 + 1))?;
+        let line = line.map_err(|e| io_error(i, e))?;
         if line.trim().is_empty() {
             continue;
         }
@@ -34,8 +33,7 @@ pub fn read_events(reader: impl BufRead) -> Result<Vec<ServeEvent>, ServeError> 
 pub fn read_events_lossy(reader: impl BufRead) -> Result<Vec<ServeEvent>, ServeError> {
     let mut events = Vec::new();
     for (i, line) in reader.lines().enumerate() {
-        let line =
-            line.map_err(|e| ServeError::parse(format!("read error: {e}")).at_line(i as u64 + 1))?;
+        let line = line.map_err(|e| io_error(i, e))?;
         if line.trim().is_empty() {
             continue;
         }
@@ -47,6 +45,11 @@ pub fn read_events_lossy(reader: impl BufRead) -> Result<Vec<ServeEvent>, ServeE
         });
     }
     Ok(events)
+}
+
+/// The I/O error of 0-based line `i`, with its 1-based line number.
+fn io_error(i: usize, e: std::io::Error) -> ServeError {
+    ServeError::Io(format!("line {}: {e}", i + 1))
 }
 
 /// Adapts a batch workload (e.g. a CSV trace) into an arrival stream,
@@ -77,6 +80,18 @@ mod tests {
             },
         )
         .arriving_at(SimTime(arrival))
+    }
+
+    #[test]
+    fn read_errors_surface_as_io_with_their_line_number() {
+        // Two blank lines, then a line that is not UTF-8.
+        let text = b"\n\n\xff\xfe\n";
+        for read in [read_events, read_events_lossy] {
+            match read(&text[..]) {
+                Err(ServeError::Io(msg)) => assert!(msg.starts_with("line 3: "), "{msg}"),
+                other => panic!("expected an Io error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

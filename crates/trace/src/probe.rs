@@ -66,15 +66,18 @@ pub enum SpanKind {
     SweepReduce,
     /// Serde/export work: CSV, JSONL flush, Perfetto rendering.
     Export,
-    /// One `corral-serve` service decision: event intake, admission,
-    /// cache probe, and (on misses) the replan (the per-decision
-    /// latency histogram of the scheduling service).
+    /// One `corral-serve` service decision: event intake, admission and
+    /// the replan (the per-decision latency histogram of the scheduling
+    /// service).
     ServeDecision,
+    /// One cluster-engine dispatch pass: the dirty machines' free slots
+    /// offered to the policy, and the launches it picks.
+    EngineDispatch,
 }
 
 impl SpanKind {
     /// Every kind, in stable report order.
-    pub const ALL: [SpanKind; 10] = [
+    pub const ALL: [SpanKind; 11] = [
         SpanKind::FabricRecompute,
         SpanKind::FabricMaxMin,
         SpanKind::CandidateScore,
@@ -85,6 +88,7 @@ impl SpanKind {
         SpanKind::SweepReduce,
         SpanKind::Export,
         SpanKind::ServeDecision,
+        SpanKind::EngineDispatch,
     ];
 
     /// Stable dotted label used in expositions and reports.
@@ -100,6 +104,7 @@ impl SpanKind {
             SpanKind::SweepReduce => "sweep.reduce",
             SpanKind::Export => "export.write",
             SpanKind::ServeDecision => "serve.decision",
+            SpanKind::EngineDispatch => "engine.dispatch",
         }
     }
 
@@ -113,7 +118,8 @@ impl SpanKind {
 /// layers' stats structs. The exceptions are [`ProbeCounter::MaxMinRounds`],
 /// the two `FabricDirtyFlows*` counters and [`ProbeCounter::HeapPops`],
 /// which mirror `FabricStats` / `ProvisionStats` fields because
-/// perfbench reads these labels by name.
+/// perfbench reads these labels by name, and [`ProbeCounter::EnginePicks`],
+/// the engine's dispatch cost, whose only home is here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ProbeCounter {
@@ -153,11 +159,13 @@ pub enum ProbeCounter {
     /// (incremental cache included); reported as a running gauge — each
     /// growth adds the delta, so the sum reads as the latest footprint.
     VarysScratchElems,
+    /// `TaskScheduler::pick` calls made by engine dispatch passes.
+    EnginePicks,
 }
 
 impl ProbeCounter {
     /// Every counter, in stable report order.
-    pub const ALL: [ProbeCounter; 16] = [
+    pub const ALL: [ProbeCounter; 17] = [
         ProbeCounter::RecomputeFlowStart,
         ProbeCounter::RecomputeFlowCancel,
         ProbeCounter::RecomputeBackground,
@@ -174,6 +182,7 @@ impl ProbeCounter {
         ProbeCounter::FabricDirtyFlowsSum,
         ProbeCounter::FabricDirtyFlowsSamples,
         ProbeCounter::VarysScratchElems,
+        ProbeCounter::EnginePicks,
     ];
 
     /// Stable dotted label used in expositions and reports.
@@ -195,6 +204,7 @@ impl ProbeCounter {
             ProbeCounter::FabricDirtyFlowsSum => "fabric.dirty_flows_sum",
             ProbeCounter::FabricDirtyFlowsSamples => "fabric.dirty_flows_samples",
             ProbeCounter::VarysScratchElems => "fabric.varys_scratch_elems",
+            ProbeCounter::EnginePicks => "engine.picks",
         }
     }
 

@@ -31,7 +31,7 @@ fn plan(
 ) -> ProvisionOutcome {
     let pins = vec![None; meta.len()];
     provision(
-        models,
+        &models.iter().collect::<Vec<_>>(),
         meta,
         &pins,
         cfg.racks,
