@@ -10,9 +10,10 @@
 //!    bits, rack counts and candidate counts — on the golden workload, on
 //!    the two planning shapes the experiments rerun hottest (the
 //!    replan-shaped pinned problem of §3.1 and the fig13b-shaped forecast
-//!    problem, planned on perturbed arrivals), and on four larger cells
-//!    (three synthetic scales and a replan-shaped W1 problem) whose
-//!    candidate counts are golden too.
+//!    problem, planned on perturbed arrivals), and on five larger cells
+//!    (three synthetic scales, a replan-shaped W1 problem and a
+//!    serve-shaped pinned problem) whose candidate and placement counts
+//!    are golden too.
 //! 3. The planner run in cells of a sweep pool at `--jobs 1` and
 //!    `--jobs 8` produces byte-identical plan CSVs on the replan-shaped
 //!    and fig13b-shaped problems.
@@ -35,6 +36,7 @@ use corral_model::{
     Bandwidth, Bytes, ClusterConfig, JobId, JobSpec, MapReduceProfile, RackId, SimTime,
 };
 use corral_sweep::SweepPool;
+use corral_trace::fnv::Fnv64;
 use corral_workloads::{assign_uniform_arrivals, w1, Scale};
 use provision_reference::provision_reference;
 use std::collections::BTreeMap;
@@ -76,12 +78,9 @@ fn objective_of(label: &str) -> Objective {
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.bytes(bytes);
+    h.finish()
 }
 
 fn fingerprint(plan: &Plan) -> (u64, u64) {
@@ -197,14 +196,14 @@ fn fig13b_shaped_plan_is_identical_across_pool_sizes() {
 
 /// One input of the reference-oracle check: jobs on a cluster under one
 /// objective, with optional rack pins and, where embedded, the golden
-/// candidate count.
+/// `(candidates, placements)` counts.
 struct Problem {
     label: &'static str,
     cfg: ClusterConfig,
     jobs: Vec<JobSpec>,
     objective: Objective,
     pins: BTreeMap<JobId, Vec<RackId>>,
-    golden_candidates: Option<u64>,
+    golden_counts: Option<(u64, u64)>,
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -219,17 +218,14 @@ fn unit(rng: &mut u64) -> f64 {
     (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A synthetic makespan problem of `jobs` unpinned jobs on `racks` racks:
-/// sizes log-uniform over ~3 decades (mostly small jobs, a heavy tail
-/// that dominates the makespan — where widening decisions matter),
-/// arrivals uniform over an hour. Unpinned, the candidate count follows
-/// the §4.2 formula `1 + J·(R−1)` exactly.
-fn synthetic(label: &'static str, jobs: usize, racks: usize, seed: u64, golden: u64) -> Problem {
-    let mut rng = seed;
-    let jobs = (0..jobs)
+/// `jobs` synthetic MapReduce jobs: sizes log-uniform over ~3 decades
+/// (mostly small jobs, a heavy tail that dominates the makespan — where
+/// widening decisions matter), arrivals uniform over an hour.
+fn synthetic_jobs(jobs: usize, rng: &mut u64) -> Vec<JobSpec> {
+    (0..jobs)
         .map(|i| {
-            let input_gb = 10f64.powf(unit(&mut rng) * 3.0) * 0.5; // 0.5 GB – 500 GB
-            let shuffle_gb = input_gb * (0.2 + 0.6 * unit(&mut rng));
+            let input_gb = 10f64.powf(unit(rng) * 3.0) * 0.5; // 0.5 GB – 500 GB
+            let shuffle_gb = input_gb * (0.2 + 0.6 * unit(rng));
             let tasks = ((input_gb * 4.0) as usize).clamp(4, 4000);
             let mr = MapReduceProfile {
                 input: Bytes::gb(input_gb),
@@ -241,19 +237,77 @@ fn synthetic(label: &'static str, jobs: usize, racks: usize, seed: u64, golden: 
                 reduce_rate: Bandwidth::mbytes_per_sec(100.0),
             };
             JobSpec::map_reduce(JobId(i as u32), format!("s{i}"), mr)
-                .arriving_at(SimTime(unit(&mut rng) * 3600.0))
+                .arriving_at(SimTime(unit(rng) * 3600.0))
         })
-        .collect();
+        .collect()
+}
+
+fn testbed_with(racks: usize) -> ClusterConfig {
+    ClusterConfig {
+        racks,
+        ..ClusterConfig::testbed_210()
+    }
+}
+
+/// A synthetic makespan problem of `jobs` unpinned jobs on `racks` racks.
+/// Unpinned, the candidate count follows the §4.2 formula `1 + J·(R−1)`
+/// exactly, and with no prefix every candidate places all `J` jobs.
+fn synthetic(
+    label: &'static str,
+    jobs: usize,
+    racks: usize,
+    seed: u64,
+    golden: (u64, u64),
+) -> Problem {
+    let mut rng = seed;
     Problem {
         label,
-        cfg: ClusterConfig {
-            racks,
-            ..ClusterConfig::testbed_210()
-        },
-        jobs,
+        cfg: testbed_with(racks),
+        jobs: synthetic_jobs(jobs, &mut rng),
         objective: Objective::Makespan,
         pins: BTreeMap::new(),
-        golden_candidates: Some(golden),
+        golden_counts: Some(golden),
+    }
+}
+
+/// The shape of every `corral-serve` replan, in relative time: `jobs`
+/// pinned jobs that arrived within the last hour hold 1–3 racks each,
+/// one more pinned job and the unpinned newcomer both arrive at exactly
+/// `0.0`. Only the newcomer widens, so there are `R` candidates. The
+/// earlier pinned jobs form the invariant prefix and are placed once;
+/// the tie at `0.0` stays in the suffix, so each candidate places two
+/// jobs — far below the `candidates × J` of a full replay.
+fn serve_shaped(
+    label: &'static str,
+    jobs: usize,
+    racks: usize,
+    seed: u64,
+    golden: (u64, u64),
+) -> Problem {
+    let mut rng = seed;
+    let mut specs = synthetic_jobs(jobs + 2, &mut rng);
+    let mut pins = BTreeMap::new();
+    for (i, s) in specs.iter_mut().enumerate() {
+        if i < jobs {
+            s.arrival = SimTime(-s.arrival.0);
+        } else {
+            s.arrival = SimTime(0.0);
+        }
+        if i <= jobs {
+            let width = 1 + (splitmix64(&mut rng) % 3) as usize;
+            let pin = (0..width)
+                .map(|_| RackId((splitmix64(&mut rng) % racks as u64) as u32))
+                .collect();
+            pins.insert(s.id, pin);
+        }
+    }
+    Problem {
+        label,
+        cfg: testbed_with(racks),
+        jobs: specs,
+        objective: Objective::AvgCompletionTime,
+        pins,
+        golden_counts: Some(golden),
     }
 }
 
@@ -270,7 +324,7 @@ fn problems() -> Vec<Problem> {
         jobs,
         objective,
         pins,
-        golden_candidates: None,
+        golden_counts: None,
     };
     let golden = |label, objective| small(label, golden_jobsets(), objective, BTreeMap::new());
     let golden_pins = replan_pins(
@@ -315,17 +369,18 @@ fn problems() -> Vec<Problem> {
             Objective::AvgCompletionTime,
             BTreeMap::new(),
         ),
-        synthetic("small", 24, 7, 0x91A_0001, 145),
-        synthetic("medium", 96, 14, 0x91A_0002, 1249),
-        synthetic("large", 256, 24, 0x91A_0003, 5889),
+        synthetic("small", 24, 7, 0x91A_0001, (145, 3480)),
+        synthetic("medium", 96, 14, 0x91A_0002, (1249, 119_904)),
+        synthetic("large", 256, 24, 0x91A_0003, (5889, 1_507_584)),
         Problem {
             label: "replan-w1",
             cfg: rc.params.cluster,
             jobs: w1,
             objective: rc.objective,
             pins,
-            golden_candidates: Some(463),
+            golden_counts: Some((463, 35_724)),
         },
+        serve_shaped("serve-shaped", 60, 40, 0x91A_0004, (40, 140)),
     ]
 }
 
@@ -363,14 +418,22 @@ fn planner_agrees_with_frozen_reference_oracle_on_golden_workload() {
             .map(|j| plan.entry(j.id).map_or(0, |e| e.racks.len()))
             .collect();
         assert_eq!(racks, oracle.racks, "{label}: allocations diverge");
+        let stats = plan.provision_stats;
         assert_eq!(
-            plan.provision_stats.candidates, oracle.stats.candidates,
+            stats.candidates, oracle.stats.candidates,
             "{label}: candidate counts diverge"
         );
-        if let Some(golden) = p.golden_candidates {
+        // The oracle replays all J jobs per candidate; the planner
+        // places its invariant prefix once.
+        assert!(
+            stats.placements <= oracle.stats.placements,
+            "{label}: more placements than a full replay"
+        );
+        if let Some(golden) = p.golden_counts {
             assert_eq!(
-                oracle.stats.candidates, golden,
-                "{label}: candidate count drifted from its golden"
+                (oracle.stats.candidates, stats.placements),
+                golden,
+                "{label}: (candidates, placements) drifted from their golden"
             );
         }
     }

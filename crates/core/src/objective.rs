@@ -20,11 +20,10 @@ impl Objective {
     }
 
     /// Evaluates the objective over a stream of `(arrival, finish)` pairs
-    /// without materializing them — the planner's per-candidate scoring
-    /// path, which would otherwise build (and drop) one pairs `Vec` per
-    /// candidate allocation. Arithmetic and accumulation order are
-    /// identical to [`Objective::evaluate`] on the collected pairs, so the
-    /// two are bit-equal for the same stream.
+    /// without materializing them. Arithmetic and accumulation order are
+    /// identical to [`Objective::evaluate`] on the collected pairs, and to
+    /// the planner's per-candidate fold, so all three are bit-equal for
+    /// the same stream.
     pub fn evaluate_iter(self, jobs: impl Iterator<Item = (SimTime, SimTime)>) -> f64 {
         match self {
             Objective::Makespan => jobs.map(|(_, f)| f.as_secs()).fold(0.0, f64::max),

@@ -92,68 +92,223 @@ pub fn prioritize_jobs(
     online: bool,
 ) -> Vec<ScheduledJob> {
     assert!(total_racks > 0, "cluster must have racks");
-    let mut order: Vec<&PrioritizeJob<'_>> = jobs.iter().collect();
-    // Batch: widest first, then longest, then id (determinism).
-    // Online: earliest arrival first, then the batch criteria.
-    order.sort_by(|a, b| order_key(a, b, online));
-
-    let mut finish_at: Vec<SimTime> = vec![SimTime::ZERO; total_racks];
+    let job = |i: usize| jobs[i];
+    let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
+    sort_order(&mut order, &job, online);
+    let mut finish_at = vec![SimTime::ZERO; total_racks];
+    let mut racks: Vec<u32> = (0..total_racks as u32).collect();
+    // Only the recorded placements are wanted; the fold is discarded.
+    let mut fold = Fold::new(Objective::Makespan);
     let mut out = Vec::with_capacity(jobs.len());
-    for inp in order {
-        let chosen: Vec<usize> = if inp.pinned.is_empty() {
-            let want = inp.racks.clamp(1, total_racks);
-            // Racks with the smallest F_i; ties by rack id.
-            let mut rack_order: Vec<usize> = (0..total_racks).collect();
-            rack_order.sort_by(|&a, &b| finish_at[a].total_cmp(finish_at[b]).then(a.cmp(&b)));
-            rack_order[..want].to_vec()
-        } else {
-            inp.pinned
-                .iter()
-                .map(|r| r.index())
-                .filter(|&i| i < total_racks)
-                .collect()
-        };
-        let free_at = chosen
-            .iter()
-            .map(|&i| finish_at[i])
-            .fold(SimTime::ZERO, SimTime::max);
-        let start = free_at.max(inp.arrival);
-        let finish = start + inp.latency;
-        for &i in &chosen {
-            finish_at[i] = finish;
-        }
-        let mut racks: Vec<RackId> = chosen.iter().map(|&i| RackId::from_index(i)).collect();
-        racks.sort_unstable();
-        out.push(ScheduledJob {
-            job: inp.job,
-            racks,
-            start,
-            finish,
-            arrival: inp.arrival,
-        });
-    }
+    place_in_order(
+        &order,
+        &job,
+        &mut finish_at,
+        &mut racks,
+        &mut fold,
+        Some(&mut out),
+    );
     out
 }
 
-/// Reusable buffers for allocation-free candidate scoring
-/// ([`schedule_value_with`]). One scratch per thread lives for the whole
-/// process (the provisioning loop keeps it in a thread-local), so in
-/// steady state a planner run performs **zero** heap allocation per
-/// candidate; [`PlannerScratch::grows`] counts the times any buffer had
-/// to grow (reported as the `planner.scratch_grows` probe counter), the
-/// planner twin of the fabric's `FabricStats::scratch_grows` invariant.
-#[derive(Debug, Default)]
+/// Sorts job indices into scheduling order. An unstable sort with a
+/// final index tie-break equals a stable sort on [`order_key`].
+fn sort_order<'a, F>(order: &mut [u32], job: &F, online: bool)
+where
+    F: Fn(usize) -> PrioritizeJob<'a>,
+{
+    order.sort_unstable_by(|&a, &b| {
+        order_key(&job(a as usize), &job(b as usize), online).then(a.cmp(&b))
+    });
+}
+
+/// The objective folded over planned `(arrival, finish)` pairs in
+/// scheduling order: the same expression tree and accumulation order as
+/// [`Objective::evaluate_iter`], so the two agree bit for bit. Copyable,
+/// so a candidate can continue from the prefix's accumulators.
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    objective: Objective,
+    mk: f64,
+    sum: f64,
+    jobs: usize,
+}
+
+impl Fold {
+    fn new(objective: Objective) -> Self {
+        Fold {
+            objective,
+            mk: 0.0,
+            sum: 0.0,
+            jobs: 0,
+        }
+    }
+
+    fn push(&mut self, arrival: SimTime, finish: SimTime) {
+        match self.objective {
+            Objective::Makespan => self.mk = self.mk.max(finish.as_secs()),
+            Objective::AvgCompletionTime => {
+                self.sum += (finish.as_secs() - arrival.as_secs()).max(0.0);
+            }
+        }
+        self.jobs += 1;
+    }
+
+    fn value(self) -> f64 {
+        match self.objective {
+            Objective::Makespan => self.mk,
+            Objective::AvgCompletionTime => {
+                if self.jobs == 0 {
+                    0.0
+                } else {
+                    self.sum / self.jobs as f64
+                }
+            }
+        }
+    }
+}
+
+/// The §4.2 placement recurrence, the one copy in production: places the
+/// jobs of `order` in turn on the per-rack free times `finish_at` and
+/// folds each planned finish into `fold`. With `record`, each placement
+/// is also appended as a [`ScheduledJob`]; scoring passes `None`.
+///
+/// `racks` is a permutation of `0..R` that must arrive sorted by
+/// `(F_i, rack id)`. The first job, if unpinned, takes its `r_j`
+/// earliest-free racks straight off its front; every later unpinned job
+/// selects them with `select_nth_unstable`. Both yield the same *set* as
+/// a full sort, because `(F_i, rack id)` is a total order. Afterwards
+/// `racks` is still a permutation, in no particular order.
+fn place_in_order<'a, F>(
+    order: &[u32],
+    job: &F,
+    finish_at: &mut [SimTime],
+    racks: &mut [u32],
+    fold: &mut Fold,
+    mut record: Option<&mut Vec<ScheduledJob>>,
+) where
+    F: Fn(usize) -> PrioritizeJob<'a>,
+{
+    let total_racks = finish_at.len();
+    let mut sorted = true;
+    for &oi in order {
+        let inp = job(oi as usize);
+        let (start, finish);
+        if inp.pinned.is_empty() {
+            let want = inp.racks.clamp(1, total_racks);
+            if !sorted && want < total_racks {
+                racks.select_nth_unstable_by(want - 1, |&a, &b| {
+                    finish_at[a as usize]
+                        .total_cmp(finish_at[b as usize])
+                        .then(a.cmp(&b))
+                });
+            }
+            let sel = &racks[..want];
+            start = sel
+                .iter()
+                .map(|&i| finish_at[i as usize])
+                .fold(SimTime::ZERO, SimTime::max)
+                .max(inp.arrival);
+            finish = start + inp.latency;
+            for &i in sel {
+                finish_at[i as usize] = finish;
+            }
+            if let Some(out) = record.as_deref_mut() {
+                let chosen = sel.iter().map(|&i| RackId::from_index(i as usize));
+                out.push(scheduled(&inp, chosen, start, finish));
+            }
+        } else {
+            let sel = inp
+                .pinned
+                .iter()
+                .map(|r| r.index())
+                .filter(|&i| i < total_racks);
+            start = sel
+                .clone()
+                .map(|i| finish_at[i])
+                .fold(SimTime::ZERO, SimTime::max)
+                .max(inp.arrival);
+            finish = start + inp.latency;
+            for i in sel.clone() {
+                finish_at[i] = finish;
+            }
+            if let Some(out) = record.as_deref_mut() {
+                out.push(scheduled(&inp, sel.map(RackId::from_index), start, finish));
+            }
+        }
+        sorted = false;
+        fold.push(inp.arrival, finish);
+    }
+}
+
+/// One recorded placement, its rack set in ascending id order. The set
+/// is sized exactly: plans keep their schedules.
+fn scheduled(
+    inp: &PrioritizeJob<'_>,
+    chosen: impl Iterator<Item = RackId> + Clone,
+    start: SimTime,
+    finish: SimTime,
+) -> ScheduledJob {
+    let mut racks = Vec::with_capacity(chosen.clone().count());
+    racks.extend(chosen);
+    racks.sort_unstable();
+    ScheduledJob {
+        job: inp.job,
+        racks,
+        start,
+        finish,
+        arrival: inp.arrival,
+    }
+}
+
+/// Reusable buffers for allocation-free candidate scoring, and the
+/// schedule state of one provisioning call's *invariant prefix*.
+///
+/// The prefix is the jobs that sort before every other job in every
+/// candidate and whose view never changes. `begin` places them once per
+/// call; `score` then scores a candidate by replaying only the remaining
+/// *suffix* jobs from a copy of that state. One scratch per thread lives for the whole process (the
+/// provisioning loop keeps it in a thread-local), so in steady state a
+/// planner run performs **zero** heap allocation per candidate;
+/// [`PlannerScratch::grows`] counts the times any buffer had to grow
+/// (reported as the `planner.scratch_grows` probe counter), the planner
+/// twin of the fabric's `FabricStats::scratch_grows` invariant.
+#[derive(Debug)]
 pub struct PlannerScratch {
-    /// Job indices in scheduling order (the sorted `order` of
-    /// [`prioritize_jobs`], by index instead of reference).
+    /// Whether the call orders jobs arrival-first.
+    online: bool,
+    /// Indices of the suffix jobs, ascending.
+    suffix: Vec<u32>,
+    /// Job indices in scheduling order: the prefix while
+    /// [`PlannerScratch::begin`] places it, then each candidate's suffix.
     order: Vec<u32>,
-    /// Per-rack `F_i` — when rack `i` finishes its assigned jobs.
+    /// Per-rack `F_i` after the prefix.
+    prefix_finish: Vec<SimTime>,
+    /// `0..R` sorted by `(F_i, rack id)` after the prefix.
+    prefix_racks: Vec<u32>,
+    /// Objective accumulators after the prefix.
+    prefix_fold: Fold,
+    /// One candidate's working copy of `prefix_finish`.
     finish_at: Vec<SimTime>,
-    /// Persistent permutation of `0..R` used for k-smallest rack
-    /// selection. Any permutation is valid input to the selection, so it
-    /// is never reset between jobs or candidates.
-    rack_sel: Vec<u32>,
+    /// One candidate's working copy of `prefix_racks`.
+    racks: Vec<u32>,
     grows: u64,
+}
+
+impl Default for PlannerScratch {
+    fn default() -> Self {
+        PlannerScratch {
+            online: false,
+            suffix: Vec::new(),
+            order: Vec::new(),
+            prefix_finish: Vec::new(),
+            prefix_racks: Vec::new(),
+            prefix_fold: Fold::new(Objective::Makespan),
+            finish_at: Vec::new(),
+            racks: Vec::new(),
+            grows: 0,
+        }
+    }
 }
 
 impl PlannerScratch {
@@ -168,121 +323,116 @@ impl PlannerScratch {
     }
 
     fn ensure(&mut self, jobs: usize, racks: usize) {
-        if self.order.capacity() < jobs
+        if self.suffix.capacity() < jobs
+            || self.order.capacity() < jobs
+            || self.prefix_finish.capacity() < racks
+            || self.prefix_racks.capacity() < racks
             || self.finish_at.capacity() < racks
-            || self.rack_sel.capacity() < racks
+            || self.racks.capacity() < racks
         {
             self.grows += 1;
         }
-        if self.rack_sel.len() != racks {
-            self.rack_sel.clear();
-            self.rack_sel.extend(0..racks as u32);
-        }
     }
-}
 
-/// Scores one candidate allocation without materializing a schedule: runs
-/// the §4.2 placement recurrence entirely inside `scratch` and folds
-/// `objective` over the planned `(arrival, finish)` pairs in schedule
-/// order. Bit-identical to
-/// `objective.evaluate_iter(prioritize_jobs(..).iter() pairs)` — the
-/// randomized property test against the reference provisioning oracle
-/// (`crates/core/tests/prop_provision.rs`) holds the two paths together.
-///
-/// `job(i)` returns job `i`'s view for this candidate (`0 <= i < n`); it
-/// is called repeatedly (including inside the sort comparator), so it must
-/// be cheap and pure. Instead of the full `O(R log R)` rack sort the
-/// reference performs per job, unpinned jobs select their `r_j`
-/// cheapest-to-free racks via `select_nth_unstable` — the selected *set*
-/// is unique under the total (F_i, rack-id) order, so the placement is
-/// unchanged.
-pub fn schedule_value_with<'a, F>(
-    n: usize,
-    job: F,
-    total_racks: usize,
-    online: bool,
-    objective: Objective,
-    scratch: &mut PlannerScratch,
-) -> f64
-where
-    F: Fn(usize) -> PrioritizeJob<'a>,
-{
-    assert!(total_racks > 0, "cluster must have racks");
-    scratch.ensure(n, total_racks);
-    let PlannerScratch {
-        order,
-        finish_at,
-        rack_sel,
-        ..
-    } = scratch;
-
-    order.clear();
-    order.extend(0..n as u32);
-    // Unstable sort with a final index tie-break reproduces the reference
-    // path's stable sort exactly.
-    order.sort_unstable_by(|&a, &b| {
-        order_key(&job(a as usize), &job(b as usize), online).then(a.cmp(&b))
-    });
-
-    finish_at.clear();
-    finish_at.resize(total_racks, SimTime::ZERO);
-
-    // Objective accumulators, folded in schedule order — the same order
-    // and arithmetic `Objective::evaluate` applies to the pairs slice.
-    let mut mk = 0.0f64;
-    let mut sum = 0.0f64;
-    for &oi in order.iter() {
-        let inp = job(oi as usize);
-        let (free_at, finish);
-        if inp.pinned.is_empty() {
-            let want = inp.racks.clamp(1, total_racks);
-            if want < total_racks {
-                rack_sel.select_nth_unstable_by(want - 1, |&a, &b| {
-                    finish_at[a as usize]
-                        .total_cmp(finish_at[b as usize])
-                        .then(a.cmp(&b))
-                });
-            }
-            let sel = &rack_sel[..want];
-            free_at = sel
-                .iter()
-                .map(|&i| finish_at[i as usize])
-                .fold(SimTime::ZERO, SimTime::max);
-            finish = free_at.max(inp.arrival) + inp.latency;
-            for &i in sel {
-                finish_at[i as usize] = finish;
-            }
-        } else {
-            let sel = inp
-                .pinned
-                .iter()
-                .map(|r| r.index())
-                .filter(|&i| i < total_racks);
-            free_at = sel
-                .clone()
-                .map(|i| finish_at[i])
-                .fold(SimTime::ZERO, SimTime::max);
-            finish = free_at.max(inp.arrival) + inp.latency;
-            for i in sel {
-                finish_at[i] = finish;
-            }
-        }
-        match objective {
-            Objective::Makespan => mk = mk.max(finish.as_secs()),
-            Objective::AvgCompletionTime => {
-                sum += (finish.as_secs() - inp.arrival.as_secs()).max(0.0);
-            }
-        }
-    }
-    match objective {
-        Objective::Makespan => mk,
-        Objective::AvgCompletionTime => {
-            if n == 0 {
-                0.0
+    /// Starts scoring the candidates of one call over jobs `0..n`:
+    /// places the jobs `in_prefix` selects, in scheduling order, on an
+    /// empty cluster and keeps the resulting state. Returns the number of
+    /// prefix jobs placed.
+    ///
+    /// The caller guarantees that in every candidate later passed to
+    /// [`PlannerScratch::score`], each prefix job has the view `job`
+    /// gives here and sorts before every suffix job. Then the prefix's
+    /// placements, its `F_i` row and its objective accumulators are the
+    /// same in every candidate, and replaying only the suffix from them
+    /// is exact.
+    pub(crate) fn begin<'a, F>(
+        &mut self,
+        n: usize,
+        in_prefix: impl Fn(usize) -> bool,
+        job: F,
+        total_racks: usize,
+        online: bool,
+        objective: Objective,
+    ) -> usize
+    where
+        F: Fn(usize) -> PrioritizeJob<'a>,
+    {
+        assert!(total_racks > 0, "cluster must have racks");
+        self.ensure(n, total_racks);
+        self.online = online;
+        let PlannerScratch {
+            suffix,
+            order,
+            prefix_finish,
+            prefix_racks,
+            prefix_fold,
+            ..
+        } = self;
+        order.clear();
+        suffix.clear();
+        for i in 0..n as u32 {
+            if in_prefix(i as usize) {
+                order.push(i);
             } else {
-                sum / n as f64
+                suffix.push(i);
             }
         }
+        sort_order(order, &job, online);
+        prefix_finish.clear();
+        prefix_finish.resize(total_racks, SimTime::ZERO);
+        prefix_racks.clear();
+        prefix_racks.extend(0..total_racks as u32);
+        *prefix_fold = Fold::new(objective);
+        place_in_order(order, &job, prefix_finish, prefix_racks, prefix_fold, None);
+        prefix_racks.sort_unstable_by(|&a, &b| {
+            prefix_finish[a as usize]
+                .total_cmp(prefix_finish[b as usize])
+                .then(a.cmp(&b))
+        });
+        order.len()
+    }
+
+    /// Scores one candidate without materializing a schedule: sorts and
+    /// places only the suffix jobs, from a copy of the prefix state, and
+    /// returns the objective over all `n` jobs. Bit-identical to
+    /// evaluating the objective over [`prioritize_jobs`] of the whole
+    /// candidate — the randomized property test against the reference
+    /// provisioning oracle (`crates/core/tests/prop_provision.rs`) holds
+    /// the two paths together.
+    ///
+    /// `job(i)` returns job `i`'s view for this candidate; it is called
+    /// repeatedly (including inside the sort comparator), so it must be
+    /// cheap and pure.
+    pub(crate) fn score<'a, F>(&mut self, job: F) -> f64
+    where
+        F: Fn(usize) -> PrioritizeJob<'a>,
+    {
+        let PlannerScratch {
+            online,
+            suffix,
+            order,
+            prefix_finish,
+            prefix_racks,
+            prefix_fold,
+            finish_at,
+            racks,
+            ..
+        } = self;
+        order.clear();
+        order.extend_from_slice(suffix);
+        sort_order(order, &job, *online);
+        finish_at.clear();
+        finish_at.extend_from_slice(prefix_finish);
+        racks.clear();
+        racks.extend_from_slice(prefix_racks);
+        let mut fold = *prefix_fold;
+        place_in_order(order, &job, finish_at, racks, &mut fold, None);
+        fold.value()
+    }
+
+    /// The number of jobs [`PlannerScratch::score`] places per candidate.
+    pub(crate) fn suffix_len(&self) -> usize {
+        self.suffix.len()
     }
 }
 

@@ -19,8 +19,35 @@
 //! per-thread [`PlannerScratch`], and keeps the first strict minimum in
 //! trajectory order. Each evaluation is allocation-free: borrowed pins,
 //! reused job-order / `finish_at` / rack-selection buffers, a k-smallest
-//! rack selection instead of the full `O(R log R)` sort, and an
-//! iterator-fold objective ([`Objective::evaluate_iter`]).
+//! rack selection instead of the full `O(R log R)` sort, and the
+//! objective folded in scheduling order.
+//!
+//! # The invariant prefix
+//!
+//! A replan pins most of its jobs: under the online order, the pinned
+//! jobs that arrived before every unpinned one are scheduled first in
+//! every candidate, at widths no candidate changes. `provision` places
+//! that prefix once per call, in its [`PlannerScratch`]; each candidate
+//! then copies the prefix's `F_i` row and objective accumulators and
+//! places only the remaining suffix jobs. This is exact:
+//!
+//! * **Order.** A prefix job's arrival is strictly below (by
+//!   `total_cmp`, the order's own comparison) every unpinned arrival, so
+//!   the arrival-first order puts it before every unpinned job, and
+//!   before every pinned job not in the prefix, in every candidate. A
+//!   pinned job tied with an unpinned one stays in the suffix, and the
+//!   batch (widest-first) order has no prefix.
+//! * **FP sequence.** The suffix continues the prefix's `max`/`sum`
+//!   accumulators in the same job order and divides by the full `J`, so
+//!   every floating-point operation happens in the same sequence.
+//! * **Rack selection.** The prefix keeps its racks sorted by
+//!   `(F_i, rack id)`; the first suffix job, if unpinned, takes its
+//!   racks off the front without a selection. That order is total, so
+//!   the `r_j` smallest form a unique set and the placement is the one a
+//!   full sort or `select_nth_unstable` picks.
+//!
+//! `ProvisionStats::placements` counts the saving: the prefix once plus
+//! the suffix per candidate, against `candidates × J` without a prefix.
 //!
 //! The pre-optimization implementation lives in test code, as the
 //! oracle `crates/core/tests/support/provision_reference.rs`. A
@@ -30,9 +57,7 @@
 
 use crate::latency::LatencyModel;
 use crate::objective::Objective;
-use crate::prioritize::{
-    prioritize_jobs, schedule_value_with, PlannerScratch, PrioritizeJob, ScheduledJob,
-};
+use crate::prioritize::{prioritize_jobs, PlannerScratch, PrioritizeJob, ScheduledJob};
 use corral_model::{JobId, RackId, SimTime};
 use corral_trace::probe;
 use std::cell::RefCell;
@@ -63,6 +88,11 @@ pub struct ProvisionStats {
     pub candidates: u64,
     /// Widening steps popped off the trajectory heap.
     pub heap_pops: u64,
+    /// Job placements of the §4.2 recurrence run while scoring: the
+    /// invariant prefix once, plus the suffix once per candidate. Without
+    /// a prefix this is `candidates × J`. The planner's counterpart of
+    /// the fabric's max-min rounds.
+    pub placements: u64,
 }
 
 /// The outcome of provisioning + prioritization.
@@ -165,10 +195,12 @@ pub fn provision(
     let (best, best_value) = SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         let g0 = s.grows();
+        let in_prefix = invariant_prefix(jobs, pins, online);
+        let view = candidate_view(&alloc, models, jobs, pins);
+        let prefix = s.begin(n, in_prefix, view, total_racks, online, objective);
         let mut score = |alloc: &[usize]| {
             let _probe = probe::span(probe::SpanKind::CandidateScore);
-            let view = candidate_view(alloc, models, jobs, pins);
-            schedule_value_with(n, view, total_racks, online, objective, s)
+            s.score(candidate_view(alloc, models, jobs, pins))
         };
         // The first candidate in trajectory order whose value strictly
         // improves on everything before it wins.
@@ -197,6 +229,8 @@ pub fn provision(
                 break;
             }
         }
+        // The prefix is placed once; every candidate places the suffix.
+        stats.placements = (prefix + stats.candidates as usize * s.suffix_len()) as u64;
         probe::count(probe::ProbeCounter::PlannerScratchGrow, s.grows() - g0);
         (best, best_value)
     });
@@ -212,6 +246,30 @@ pub fn provision(
         schedule,
         objective_value: best_value,
         stats,
+    }
+}
+
+/// The invariant-prefix rule: which jobs `PlannerScratch::begin` may
+/// place once for all candidates. Under the online order (arrival first,
+/// then width, latency and id) a validated-pinned job whose arrival is
+/// strictly below every unpinned job's arrival sorts before every job
+/// whose view can change, in every candidate, and its own width and
+/// latency never change. Arrivals compare by `total_cmp`, exactly as the
+/// order does, so `-0.0` sits below `0.0`; a tie falls to the later
+/// criteria, which vary with the candidate, so a pinned job tied with an
+/// unpinned one stays in the suffix. The batch order (widest first) and
+/// calls with no unpinned job get an empty prefix.
+fn invariant_prefix<'a>(
+    jobs: &'a [(JobId, SimTime)],
+    pins: &'a [Option<Vec<RackId>>],
+    online: bool,
+) -> impl Fn(usize) -> bool + 'a {
+    let cut = (0..jobs.len())
+        .filter(|&i| online && pins[i].is_none())
+        .map(|i| jobs[i].1)
+        .min_by(|a, b| a.total_cmp(*b));
+    move |i: usize| {
+        pins[i].is_some() && cut.is_some_and(|cut| jobs[i].1.total_cmp(cut) == Ordering::Less)
     }
 }
 
