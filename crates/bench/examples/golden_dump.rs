@@ -1,39 +1,20 @@
-//! Regenerates the golden fingerprints embedded in
-//! `tests/fabric_golden.rs`. Run after an *intentional* output change:
+//! Regenerates the golden values embedded in `tests/fabric_golden.rs`.
+//! Run after an *intentional* output change:
 //!
 //! ```text
 //! cargo run --release -p corral-bench --example golden_dump
 //! ```
 //!
-//! and paste the printed constants into the test. The workload here must
-//! stay in lockstep with `fabric_golden::golden_jobsets`.
+//! and paste the printed constants into the test. Both read their
+//! workloads from `corral_bench::golden`.
 
-use corral_bench::runner::{run_variant, RunConfig, Variant};
-use corral_cluster::config::SimParams;
-use corral_core::{Objective, PlannerConfig};
-use corral_model::{ClusterConfig, SimTime};
-use corral_workloads::{assign_uniform_arrivals, w1, Scale};
+use corral_bench::golden::{churn, golden_jobsets, golden_rc, CHURN_CELLS};
+use corral_bench::runner::{run_variant, Variant};
+use corral_cluster::config::NetPolicy;
 
 fn main() {
-    let mut params = SimParams::testbed();
-    params.cluster = ClusterConfig::tiny_test();
-    params.horizon = SimTime::hours(10.0);
-    let rc = RunConfig {
-        params,
-        objective: Objective::Makespan,
-        planner: PlannerConfig::default(),
-    };
-    let mut jobs = w1::generate(
-        &w1::W1Params {
-            jobs: 8,
-            ..w1::W1Params::with_seed(17)
-        },
-        Scale {
-            task_divisor: 10.0,
-            data_divisor: 10.0,
-        },
-    );
-    assign_uniform_arrivals(&mut jobs, SimTime::minutes(5.0), 0x1);
+    let rc = golden_rc(NetPolicy::Tcp);
+    let jobs = golden_jobsets();
 
     println!("// (variant, makespan_bits, avg_jct_bits, cross_rack_bits, network_bits)");
     for v in Variant::ALL {
@@ -47,5 +28,14 @@ fn main() {
             r.network_bytes.0.to_bits(),
         );
         println!("// summary[{}]: {}", v.label(), r.summary);
+    }
+
+    println!("// (cell, recomputes, calendar pushes, completion digest)");
+    for (name, policy, shape, oracle, disturbed) in CHURN_CELLS {
+        let (st, digest) = churn(policy, shape, oracle, disturbed);
+        println!(
+            "    (\"{name}\", {}, {}, 0x{digest:016x}),",
+            st.recomputes, st.calendar_pushes
+        );
     }
 }

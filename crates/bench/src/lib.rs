@@ -18,6 +18,7 @@
 
 pub mod config;
 pub mod experiments;
+pub mod golden;
 pub mod runner;
 pub mod table;
 

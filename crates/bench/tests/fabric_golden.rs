@@ -6,26 +6,24 @@
 //! 2. Both network policies (`NetPolicy::Tcp`, `NetPolicy::Varys`)
 //!    produce byte-identical reports on a sweep pool at `--jobs 1` vs
 //!    `--jobs 8`, and the Tcp half keeps the golden bits there too.
-//! 3. Five synthetic churn cells — fair sharing at three scales, Varys
-//!    at the small and medium ones — hit their golden recompute counts;
-//!    the small cells run with the from-scratch shadow oracle armed on
-//!    every recompute, and the small Varys cell exercises both its full
-//!    and its incremental recompute paths.
+//! 3. Six synthetic churn cells — fair sharing at three scales, Varys
+//!    at the small and medium ones, and a small fair cell disturbed by
+//!    cancellations and background changes — hit their golden recompute
+//!    counts, calendar pushes and completion digests; the small cells run
+//!    with the from-scratch shadow oracle armed on every recompute, and
+//!    the small Varys cell exercises both its full and its incremental
+//!    recompute paths.
 //!
-//! Regenerate the fingerprints with
-//! `cargo run --release -p corral-bench --example golden_dump`
-//! after an *intentional* output change; the workload below must stay in
-//! lockstep with that example. The recompute counts are printed by the
-//! failing assertion.
+//! The workloads live in `corral_bench::golden`. Regenerate every value
+//! with `cargo run --release -p corral-bench --example golden_dump`
+//! after an *intentional* output change.
 
-use corral_bench::runner::{run_variant, RunConfig, Variant};
-use corral_cluster::config::{NetPolicy, SimParams};
+use corral_bench::golden::{churn, golden_jobsets, golden_rc, CHURN_CELLS};
+use corral_bench::runner::{run_variant, Variant};
+use corral_cluster::config::NetPolicy;
 use corral_cluster::metrics::RunReport;
-use corral_core::{Objective, PlannerConfig};
-use corral_model::{Bytes, ClusterConfig, JobSpec, MachineId, SimTime};
-use corral_simnet::{CoflowId, Fabric, FabricStats, FlowKind, FlowSpec, FlowTag, RatePolicy};
+use corral_simnet::RatePolicy;
 use corral_sweep::SweepPool;
-use corral_workloads::{assign_uniform_arrivals, w1, Scale};
 
 /// `(variant, makespan_bits, avg_jct_bits, cross_rack_bits, network_bits)`
 /// — regenerated by `examples/golden_dump.rs`.
@@ -59,34 +57,6 @@ const GOLDEN: [(&str, u64, u64, u64, u64); 4] = [
         0x42539be5f2dafd52,
     ),
 ];
-
-fn golden_rc(net: NetPolicy) -> RunConfig {
-    let mut params = SimParams::testbed();
-    params.cluster = ClusterConfig::tiny_test();
-    params.horizon = SimTime::hours(10.0);
-    params.net = net;
-    RunConfig {
-        params,
-        objective: Objective::Makespan,
-        planner: PlannerConfig::default(),
-    }
-}
-
-/// The fixed golden workload (lockstep with `examples/golden_dump.rs`).
-fn golden_jobsets() -> Vec<JobSpec> {
-    let mut jobs = w1::generate(
-        &w1::W1Params {
-            jobs: 8,
-            ..w1::W1Params::with_seed(17)
-        },
-        Scale {
-            task_divisor: 10.0,
-            data_divisor: 10.0,
-        },
-    );
-    assign_uniform_arrivals(&mut jobs, SimTime::minutes(5.0), 0x1);
-    jobs
-}
 
 fn fingerprint(r: &RunReport) -> (u64, u64, u64, u64) {
     (
@@ -144,95 +114,55 @@ fn pool_jobs1_vs_jobs8_identical_under_both_fabric_paths() {
     }
 }
 
-/// A synthetic churn shape: `(racks, machines per rack, live flows,
-/// flow completions to run, seed)`.
-type Shape = (usize, usize, usize, u64, u64);
-
-const SMALL: Shape = (3, 4, 48, 4000, 0xFAB_0001);
-const MEDIUM: Shape = (10, 16, 512, 6000, 0xFAB_0002);
-const LARGE: Shape = (20, 16, 640, 12000, 0xFAB_0003);
-
-/// `(cell, policy, shape, oracle armed, golden recompute count)`. The
-/// from-scratch oracle runs on the small cells only: on the larger ones
-/// it would multiply the cost.
-const CHURN_CELLS: [(&str, RatePolicy, Shape, bool, u64); 5] = [
-    ("fair-small", RatePolicy::FairShare, SMALL, true, 7996),
-    ("fair-medium", RatePolicy::FairShare, MEDIUM, false, 11954),
-    ("fair-large", RatePolicy::FairShare, LARGE, false, 23940),
-    ("varys-small", RatePolicy::Varys, SMALL, true, 7913),
-    ("varys-medium", RatePolicy::Varys, MEDIUM, false, 11904),
+/// Golden values per churn cell, in `CHURN_CELLS` order: `(cell,
+/// recompute count, calendar pushes, completion digest)`. The digest is
+/// FNV-1a over the completion stream `(flow id, completion time bits)`,
+/// so it pins the order and time of every completion, equal-time ties
+/// included.
+const CHURN_GOLDEN: [(&str, u64, u64, u64); 6] = [
+    ("fair-small", 7996, 7850, 0x94be_4c27_7c44_cf3c),
+    ("fair-medium", 11954, 11967, 0x487e_7871_4bd7_429d),
+    ("fair-large", 23940, 23952, 0x00b1_b147_dd22_91ea),
+    ("varys-small", 7913, 18264, 0x9b70_10a1_5f07_5b21),
+    ("varys-medium", 11904, 332451, 0xec90_a403_af8a_65c0),
+    ("fair-disturbed", 7993, 8872, 0xb4ec_606a_94f5_5c28),
 ];
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Starts one flow: sources cycle round-robin over the machines and every
-/// flow goes to the same position in the next rack, so per-link flow
-/// counts stay near-uniform (a large shuffle's balanced all-to-all) and
-/// every flow crosses the oversubscribed core. Sizes are random (8–263
-/// MB), so completion *order* — and with it the churn the allocator sees
-/// — stays irregular. Roughly half the flows join one of 24 coflows.
-fn spawn_flow(fab: &mut Fabric, machines: u64, per_rack: u64, seq: &mut u64, rng: &mut u64) {
-    let src = *seq % machines;
-    *seq += 1;
-    let bytes = Bytes::mb(8.0 + (splitmix64(rng) % 256) as f64);
-    let group = splitmix64(rng) % 48;
-    fab.start_flow(FlowSpec {
-        src: MachineId::from_index(src as usize),
-        dst: MachineId::from_index(((src + per_rack) % machines) as usize),
-        bytes,
-        tag: FlowTag::infrastructure(FlowKind::Shuffle),
-        coflow: (group < 24).then_some(CoflowId(group)),
-    });
-}
-
-/// Fills the fabric to the shape's live-flow count, then replaces every
-/// completed flow with a fresh one until the shape's completion count is
-/// reached; returns the fabric's counters.
-fn churn_stats(policy: RatePolicy, shape: Shape, oracle: bool) -> FabricStats {
-    let (racks, machines_per_rack, live, completions, seed) = shape;
-    let cfg = ClusterConfig {
-        racks,
-        machines_per_rack,
-        ..ClusterConfig::tiny_test()
-    };
-    let machines = cfg.total_machines() as u64;
-    let per_rack = machines_per_rack as u64;
-    let mut fab = Fabric::new(cfg, policy);
-    fab.set_full_oracle(oracle);
-    let (mut rng, mut seq) = (seed, 0u64);
-    for _ in 0..live {
-        spawn_flow(&mut fab, machines, per_rack, &mut seq, &mut rng);
-    }
-    let mut done = Vec::new();
-    let mut finished = 0u64;
-    while finished < completions {
-        let Some(tc) = fab.next_completion() else {
-            break;
-        };
-        done.clear();
-        fab.advance_collect(tc, &mut done);
-        finished += done.len() as u64;
-        for _ in 0..done.len() {
-            spawn_flow(&mut fab, machines, per_rack, &mut seq, &mut rng);
-        }
-    }
-    fab.stats().clone()
-}
 
 #[test]
 fn churn_cells_hit_golden_recomputes_with_oracle_armed() {
-    for (name, policy, shape, oracle, golden) in CHURN_CELLS {
-        let st = churn_stats(policy, shape, oracle);
+    for ((name, policy, shape, oracle, disturbed), (gname, recomputes, pushes, digest)) in
+        CHURN_CELLS.into_iter().zip(CHURN_GOLDEN)
+    {
+        assert_eq!(name, gname, "churn cell order changed");
+        let (st, got_digest) = churn(policy, shape, oracle, disturbed);
         assert_eq!(
-            st.recomputes, golden,
+            st.recomputes, recomputes,
             "{name}: churn cell recompute count drifted (oracle armed: {oracle})"
         );
+        assert_eq!(
+            got_digest, digest,
+            "{name}: completion order or times drifted: digest {got_digest:#018x}"
+        );
+        assert_eq!(
+            st.calendar_pushes, pushes,
+            "{name}: completion-calendar push count drifted"
+        );
+        if policy == RatePolicy::FairShare {
+            // One entry per re-solved component, not one per member: a
+            // component is re-solved only when a flow event dirtied one of
+            // its links (an undisturbed cell changes no capacity and
+            // cancels nothing), so the pushes stay within the starts and
+            // completions, far below the re-solved flows a per-flow
+            // calendar pushes.
+            assert!(
+                disturbed || st.calendar_pushes <= st.flows_started + st.flows_completed,
+                "{name}: more calendar pushes than flow events: {st:?}"
+            );
+            assert!(
+                st.calendar_pushes * 8 < st.dirty_flows,
+                "{name}: calendar pushes scale with the re-solved flows: {st:?}"
+            );
+        }
         if name == "varys-small" {
             // Both Varys recompute paths run: full passes (cold cache,
             // capacity boundary) and coflow-local incremental ones.

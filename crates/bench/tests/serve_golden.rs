@@ -6,10 +6,6 @@
 //! replanning or the dispatch timer cascade changed behavior. The small
 //! and recurring cells run with the oracle tripwire armed, so every
 //! incremental replan is also checked plan-equal to a fresh batch plan.
-//!
-//! The `w1-xl` cell takes over a minute in a debug build, so it is
-//! `#[ignore]`d here and run by CI's release step:
-//! `cargo test --release -p corral-bench -- --ignored`.
 
 use corral_core::Objective;
 use corral_model::{ClusterConfig, JobId, JobSpec, SimTime};
@@ -99,7 +95,6 @@ fn serve_cells_hit_golden_decision_counts() {
 }
 
 #[test]
-#[ignore = "over a minute in a debug build; CI runs it under --release"]
 fn serve_xl_cell_hits_golden_decision_count() {
     check(XL);
 }

@@ -34,10 +34,19 @@
 //!   group membership never shifts as rows come and go.
 //!
 //! Both paths share the lazy byte accounting (materialized at re-solve,
-//! completion, cancellation, or [`Fabric::flush_accounting`]), the
-//! per-flow completion deadlines, and the completion calendar
-//! ([`CalendarQueue`]): a flow whose rate did not change keeps its queued
-//! deadline untouched.
+//! completion, cancellation, or [`Fabric::flush_accounting`]) and the
+//! completion calendar ([`CalendarQueue`]), which pops by `(deadline,
+//! push order)`. Varys and machine-local flows queue one entry per flow;
+//! a Varys flow whose rate did not change keeps its entry untouched. The
+//! fair path queues one entry per re-solved component, at its earliest
+//! member deadline, for the first member in ascending slot order that
+//! attains it — the member a per-flow calendar would pop first from the
+//! component's block of consecutive pushes. Completing that member
+//! dissolves the component at the next recompute, which every pop is
+//! followed by, so its other members are re-solved and re-queued before
+//! the calendar is read again: completion order and times are exactly a
+//! per-flow calendar's. Components untouched by a change keep their
+//! entry.
 //!
 //! Both paths solve the same canonical per-component subproblems (members
 //! ascending by flow slot, links ascending by id, compact ids by rank), so
@@ -97,6 +106,12 @@ fn stable_coflow_key(coflow: Option<CoflowId>, slot: usize) -> u64 {
 
 /// Sentinel for "no component" in the per-flow/per-link component maps.
 const NO_COMP: u32 = u32::MAX;
+
+/// Tag bit of a fair component's completion-calendar entry: the payload
+/// is `(COMP_ENTRY | component id, component generation)` instead of
+/// `(flow slot, flow generation)`. Flow slots and component ids stay
+/// below it.
+const COMP_ENTRY: u32 = 1 << 31;
 
 /// Closed-form completion deadline of a flow with `rem` bytes left moving
 /// at `rate` from time `now`.
@@ -222,8 +237,8 @@ struct IncState {
     rem: Vec<f64>,
     /// Completion deadline under the current rate (`+inf` if pinned).
     deadline: Vec<f64>,
-    /// Generation stamp; calendar entries carry the generation they were
-    /// pushed with and are skipped as stale once it moves on.
+    /// Generation stamp; a per-flow calendar entry carries the generation
+    /// it was pushed with and is skipped as stale once it moves on.
     gen: Vec<u32>,
     /// Component membership (`NO_COMP` for local / dead / pending flows).
     comp_of: Vec<u32>,
@@ -241,6 +256,13 @@ struct IncState {
     comp_flows: Vec<Vec<u32>>,
     /// Round stamp deduping "affected component" collection.
     comp_stamp: Vec<u64>,
+    /// Generation stamp per component id, bumped when the component is
+    /// dissolved: its calendar entry goes stale then, even if the id is
+    /// recycled for a new component in the same recompute.
+    comp_gen: Vec<u32>,
+    /// The member the component's calendar entry completes: the first,
+    /// in ascending slot order, of those with the earliest deadline.
+    comp_head: Vec<u32>,
     /// Recyclable component ids (LIFO ⇒ deterministic id reuse).
     free_comps: Vec<u32>,
     // -- pending dirt --
@@ -263,8 +285,6 @@ struct IncState {
     /// `(stable group key, slot)` of flows admitted since the last Varys
     /// recompute, ascending slot order, dead-filtered.
     added: Vec<(u64, u32)>,
-    /// Completion calendar: `(flow slot, generation)` at the deadline.
-    queue: CalendarQueue<(u32, u32)>,
     // -- recompute scratch --
     /// Monotone round counter for the stamp arrays.
     round: u64,
@@ -308,9 +328,13 @@ impl IncState {
         if let Some(c) = self.free_comps.pop() {
             c
         } else {
+            let c = self.comp_flows.len() as u32;
+            debug_assert!(c < COMP_ENTRY, "component id collides with the entry tag");
             self.comp_flows.push(Vec::new());
             self.comp_stamp.push(0);
-            (self.comp_flows.len() - 1) as u32
+            self.comp_gen.push(0);
+            self.comp_head.push(0);
+            c
         }
     }
 
@@ -318,8 +342,7 @@ impl IncState {
     /// elements. Deliberately O(1) to compute — an O(live flows) walk per
     /// recompute would defeat the incremental path's point. Excluded by
     /// design: the per-flow arrays including `row_of` (they grow with the
-    /// flow id space, not with leaks), the calendar queue (its bucket
-    /// count tracks pending entries), and `comp_flows` inner vectors.
+    /// flow id space, not with leaks) and `comp_flows` inner vectors.
     fn footprint(&self) -> usize {
         self.link_comp.capacity()
             + self.link_first.capacity()
@@ -327,6 +350,8 @@ impl IncState {
             + self.link_stamp.capacity()
             + self.comp_flows.capacity()
             + self.comp_stamp.capacity()
+            + self.comp_gen.capacity()
+            + self.comp_head.capacity()
             + self.free_comps.capacity()
             + self.pending_links.capacity()
             + self.pending_new.capacity()
@@ -341,6 +366,20 @@ impl IncState {
             + self.sub_off.capacity()
             + self.sub_links.capacity()
             + self.sub_rates.capacity()
+    }
+
+    /// The flow a completion-calendar entry completes, or `None` once the
+    /// entry is stale: a per-flow entry whose flow died or was re-queued
+    /// since, or a component entry whose component was dissolved since.
+    #[inline]
+    fn entry_slot(&self, flows: &[Option<FlowState>], (key, gen): (u32, u32)) -> Option<usize> {
+        if key & COMP_ENTRY != 0 {
+            let c = (key & !COMP_ENTRY) as usize;
+            (self.comp_gen[c] == gen).then_some(self.comp_head[c] as usize)
+        } else {
+            let s = key as usize;
+            (flows[s].is_some() && self.gen[s] == gen).then_some(s)
+        }
     }
 }
 
@@ -385,6 +424,9 @@ pub struct Fabric {
     oracle_scratch: RecomputeScratch,
     /// Incremental-path state.
     inc: IncState,
+    /// Completion calendar: per-flow entries (local flows, Varys) and one
+    /// entry per fair component, each at its earliest deadline.
+    calendar: CalendarQueue<(u32, u32)>,
 }
 
 impl Fabric {
@@ -411,6 +453,7 @@ impl Fabric {
             oracle: cfg!(debug_assertions),
             oracle_scratch: RecomputeScratch::default(),
             inc: IncState::new(nlinks),
+            calendar: CalendarQueue::new(),
         }
     }
 
@@ -682,7 +725,7 @@ impl Fabric {
             self.recompute();
         }
         let now = self.now;
-        self.peek_fresh().map(|t| SimTime(t).max(now))
+        self.peek_fresh().map(|(t, _)| SimTime(t).max(now))
     }
 
     /// Advances the fabric clock to `t`, transferring bytes and collecting
@@ -723,11 +766,11 @@ impl Fabric {
                 self.recompute();
             }
             match self.peek_fresh() {
-                Some(tc) if tc <= t.0 => {
-                    let (time, (slot, _gen)) = self.inc.queue.pop().expect("peeked entry");
+                Some((time, slot)) if time <= t.0 => {
+                    self.calendar.pop();
                     let tc = SimTime(time).max(self.now);
                     self.now = tc;
-                    self.complete(slot as usize, tc, out);
+                    self.complete(slot, tc, out);
                     // Varys: drain the *exact*-equal-time batch before
                     // recomputing. Every such entry's remaining hits zero
                     // at `time` under the current rates, so completing them
@@ -736,9 +779,12 @@ impl Fabric {
                     // and it saves one full MADD replay per same-time
                     // completion.
                     if self.policy == RatePolicy::Varys {
-                        while self.peek_fresh() == Some(time) {
-                            let (_, (s2, _g2)) = self.inc.queue.pop().expect("peeked entry");
-                            self.complete(s2 as usize, tc, out);
+                        while let Some((t2, s2)) = self.peek_fresh() {
+                            if t2 != time {
+                                break;
+                            }
+                            self.calendar.pop();
+                            self.complete(s2, tc, out);
                         }
                     }
                 }
@@ -829,6 +875,10 @@ impl Fabric {
     /// next recompute folds them in.
     fn register_started(&mut self, id: FlowId) {
         let s = id.index();
+        debug_assert!(
+            s < COMP_ENTRY as usize,
+            "flow slot collides with the entry tag"
+        );
         let now = self.now.0;
         let f = self.flows[s].as_ref().unwrap();
         let rem = f.spec.bytes.clamp_non_negative().0;
@@ -846,7 +896,8 @@ impl Fabric {
             inc.rate.push(rate);
             inc.deadline.push(d);
             if d.is_finite() {
-                inc.queue.push(d, (s as u32, 0));
+                self.calendar.push(d, (s as u32, 0));
+                self.stats.calendar_pushes += 1;
             }
         } else {
             inc.rate.push(0.0);
@@ -921,19 +972,35 @@ impl Fabric {
         }
     }
 
-    /// Skims stale calendar entries (dead slot or superseded generation)
-    /// off the top of the completion queue and returns the next *fresh*
-    /// deadline, leaving its entry queued.
-    fn peek_fresh(&mut self) -> Option<f64> {
+    /// Skims stale calendar entries off the top of the completion queue
+    /// and returns the next *fresh* deadline with the flow it completes,
+    /// leaving its entry queued.
+    ///
+    /// A fair component's entry stands for its earliest-deadline member.
+    /// It only reaches the top after every earlier entry was popped, and
+    /// each pop dirties the fabric; both callers recompute before they
+    /// peek, so a completion or cancellation inside the component has
+    /// dissolved it (staling the entry) by the time it is read.
+    fn peek_fresh(&mut self) -> Option<(f64, usize)> {
         loop {
-            let (t, slot, gen) = {
-                let (t, &(slot, gen)) = self.inc.queue.peek()?;
-                (t, slot as usize, gen)
-            };
-            if self.flows[slot].is_some() && self.inc.gen[slot] == gen {
-                return Some(t);
+            let (t, &entry) = self.calendar.peek()?;
+            if let Some(s) = self.inc.entry_slot(&self.flows, entry) {
+                debug_assert!(self.flows[s].is_some(), "fresh entry of a dead flow");
+                return Some((t, s));
             }
-            self.inc.queue.pop();
+            self.calendar.pop();
+        }
+    }
+
+    /// Calendar hygiene: once stale entries dominate the live flows,
+    /// vacuum them in one deterministic pass. Order is `(time, push
+    /// sequence)` either way, so vacuuming never changes what pops next.
+    fn vacuum_calendar(&mut self) {
+        let alive = self.active.len().saturating_sub(self.inc.dead);
+        if self.calendar.len() > 4 * alive + 1024 {
+            let (inc, flows) = (&self.inc, &self.flows);
+            self.calendar
+                .retain(|&entry| inc.entry_slot(flows, entry).is_some());
         }
     }
 
@@ -979,8 +1046,9 @@ impl Fabric {
 
     /// Fair-sharing rate maintenance: dissolve only the components owning
     /// a dirtied link, re-solve the affected flows on canonical compacted
-    /// subproblems, and splice rates + deadlines back. Every other flow's
-    /// rate, deadline, and queued calendar entry stay untouched.
+    /// subproblems, and splice rates, deadlines and one calendar entry per
+    /// component back. Every other component's rates, deadlines and
+    /// calendar entry stay untouched.
     fn recompute_fair(&mut self) {
         let _probe = probe::span(probe::SpanKind::FabricRecompute);
         self.dirty = false;
@@ -989,8 +1057,9 @@ impl Fabric {
 
         let now = self.now.0;
 
-        // Phase 1: dissolve every component touching a pending link; its
-        // alive members plus the pending new flows form the candidate set.
+        // Phase 1: dissolve every component touching a pending link (its
+        // generation bump stales its calendar entry); its alive members
+        // plus the pending new flows form the candidate set.
         // Components are disjoint and new flows are component-less, so no
         // dedup is needed; the final sort restores ascending-slot order.
         {
@@ -1010,6 +1079,7 @@ impl Fabric {
                     continue;
                 }
                 inc.comp_stamp[c] = round;
+                inc.comp_gen[c] = inc.comp_gen[c].wrapping_add(1);
                 let mut members = std::mem::take(&mut inc.comp_flows[c]);
                 for &s in &members {
                     if flows[s as usize].is_some() {
@@ -1103,15 +1173,17 @@ impl Fabric {
 
         // Phase 6: solve each new component on its canonical compacted
         // subproblem (links deduped + sorted ascending, compact ids by
-        // rank, members ascending) and splice rates, deadlines, and fresh
-        // calendar entries back.
+        // rank, members ascending) and splice rates, deadlines, and the
+        // component's fresh calendar entry back.
         let mut rounds_total: u64 = 0;
+        let mut pushes: u64 = 0;
         let dirtied = self.inc.cand.len() as u64;
         {
             let _mm = probe::span(probe::SpanKind::FabricMaxMin);
             let flows = &self.flows;
             let topo = &self.topo;
             let maxmin_ws = &mut self.scratch.alloc.maxmin;
+            let calendar = &mut self.calendar;
             let inc = &mut self.inc;
             for nci in 0..inc.new_comps.len() {
                 let c = inc.new_comps[nci] as usize;
@@ -1160,6 +1232,12 @@ impl Fabric {
                     maxmin_ws,
                 );
                 rounds_total += maxmin_ws.last_rounds();
+                // One calendar entry per component, at its earliest
+                // deadline, for the first member (ascending slot) that
+                // attains it: the member a per-flow queue would pop first
+                // among this block of consecutive pushes.
+                let mut first = f64::INFINITY;
+                let mut head = 0;
                 for mi in 0..nmem {
                     let s = inc.comp_flows[c][mi] as usize;
                     let rate = inc.sub_rates[mi];
@@ -1167,13 +1245,19 @@ impl Fabric {
                     // Epoch is `now` from phase 2's materialization.
                     let d = deadline_for(now, inc.rem[s], rate);
                     inc.deadline[s] = d;
-                    inc.gen[s] = inc.gen[s].wrapping_add(1);
-                    if d.is_finite() {
-                        inc.queue.push(d, (s as u32, inc.gen[s]));
+                    if d.total_cmp(&first).is_lt() {
+                        first = d;
+                        head = s as u32;
                     }
+                }
+                if first.is_finite() {
+                    inc.comp_head[c] = head;
+                    calendar.push(first, (COMP_ENTRY | c as u32, inc.comp_gen[c]));
+                    pushes += 1;
                 }
             }
         }
+        self.stats.calendar_pushes += pushes;
         self.stats.maxmin_rounds += rounds_total;
         probe::count(probe::ProbeCounter::MaxMinRounds, rounds_total);
         self.stats.dirty_flows += dirtied;
@@ -1184,16 +1268,7 @@ impl Fabric {
             self.scratch_footprint = footprint;
             self.stats.scratch_grows += 1;
         }
-        // Calendar hygiene: once stale entries dominate the live flows,
-        // vacuum them in one deterministic pass.
-        let alive = self.active.len().saturating_sub(self.inc.dead);
-        if self.inc.queue.len() > 4 * alive + 1024 {
-            let IncState {
-                queue, gen: gens, ..
-            } = &mut self.inc;
-            let flows = &self.flows;
-            queue.retain(|&(s, g)| flows[s as usize].is_some() && gens[s as usize] == g);
-        }
+        self.vacuum_calendar();
         if self.oracle {
             self.oracle_check();
         }
@@ -1319,7 +1394,8 @@ impl Fabric {
             inc.deadline[s] = d;
             inc.gen[s] = inc.gen[s].wrapping_add(1);
             if d.is_finite() {
-                inc.queue.push(d, (s as u32, inc.gen[s]));
+                self.calendar.push(d, (s as u32, inc.gen[s]));
+                self.stats.calendar_pushes += 1;
             }
         }
         // New flows whose solved rate equals the registration default
@@ -1333,7 +1409,8 @@ impl Fabric {
                 if d.is_finite() {
                     inc.deadline[s] = d;
                     inc.gen[s] = inc.gen[s].wrapping_add(1);
-                    inc.queue.push(d, (s as u32, inc.gen[s]));
+                    self.calendar.push(d, (s as u32, inc.gen[s]));
+                    self.stats.calendar_pushes += 1;
                 }
             }
         }
@@ -1353,16 +1430,7 @@ impl Fabric {
             );
             self.last_varys_footprint = varys_fp;
         }
-        // Calendar hygiene: once stale entries dominate the live flows,
-        // vacuum them in one deterministic pass.
-        let alive = self.active.len();
-        if self.inc.queue.len() > 4 * alive + 1024 {
-            let IncState {
-                queue, gen: gens, ..
-            } = &mut self.inc;
-            let flows = &self.flows;
-            queue.retain(|&(s, g)| flows[s as usize].is_some() && gens[s as usize] == g);
-        }
+        self.vacuum_calendar();
         if self.oracle {
             self.oracle_check();
         }

@@ -9,6 +9,12 @@ use corral_model::{Bytes, JobId};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
+/// Job ids below this bound keep their cross-rack counter in a dense
+/// vector indexed by id; larger ids (a trace may number its jobs
+/// arbitrarily) fall back to a map, so memory never scales with the
+/// largest id.
+const DENSE_JOBS: usize = 1 << 16;
+
 /// Aggregate and per-job byte counters maintained by the fabric.
 #[derive(Debug, Default, Clone, Serialize)]
 pub struct FabricStats {
@@ -21,10 +27,11 @@ pub struct FabricStats {
     pub network_bytes: Bytes,
     /// Bytes transferred machine-locally (no network involved).
     pub local_bytes: Bytes,
-    /// Per-job cross-rack bytes.
-    pub cross_rack_by_job: BTreeMap<JobId, Bytes>,
-    /// Per-job total network bytes.
-    pub network_by_job: BTreeMap<JobId, Bytes>,
+    /// Per-job cross-rack bytes, indexed by job id, for ids below
+    /// `DENSE_JOBS`; read through [`FabricStats::cross_rack_of`].
+    cross_rack_by_job: Vec<Bytes>,
+    /// Per-job cross-rack bytes of the jobs with larger ids.
+    cross_rack_sparse: BTreeMap<JobId, Bytes>,
     /// Bytes ingested from outside the cluster (upload feeds / remote
     /// storage); kept separate from job network traffic.
     pub ingest_bytes: Bytes,
@@ -52,6 +59,11 @@ pub struct FabricStats {
     /// incremental recomputes (divide by `recomputes_incremental` for
     /// the mean dirty-set size).
     pub dirty_flows: u64,
+    /// Entries pushed onto the completion calendar: one per local flow
+    /// start, one per re-solved fair component with a finite deadline,
+    /// and one per Varys flow whose deadline moved. Stale entries are
+    /// skipped at pop time, so every push is later popped or vacuumed.
+    pub calendar_pushes: u64,
 }
 
 impl FabricStats {
@@ -75,23 +87,33 @@ impl FabricStats {
             return;
         }
         self.network_bytes += amount;
-        if cross_rack {
-            self.cross_rack_bytes += amount;
+        if !cross_rack {
+            return;
         }
-        if let Some(j) = job {
-            *self.network_by_job.entry(j).or_insert(Bytes::ZERO) += amount;
-            if cross_rack {
-                *self.cross_rack_by_job.entry(j).or_insert(Bytes::ZERO) += amount;
+        self.cross_rack_bytes += amount;
+        let Some(j) = job else {
+            return;
+        };
+        let i = j.index();
+        if i < DENSE_JOBS {
+            if self.cross_rack_by_job.len() <= i {
+                self.cross_rack_by_job.resize(i + 1, Bytes::ZERO);
             }
+            self.cross_rack_by_job[i] += amount;
+        } else {
+            *self.cross_rack_sparse.entry(j).or_insert(Bytes::ZERO) += amount;
         }
     }
 
     /// Cross-rack bytes attributed to `job`.
     pub fn cross_rack_of(&self, job: JobId) -> Bytes {
-        self.cross_rack_by_job
-            .get(&job)
-            .copied()
-            .unwrap_or(Bytes::ZERO)
+        let i = job.index();
+        if i < DENSE_JOBS {
+            self.cross_rack_by_job.get(i).copied()
+        } else {
+            self.cross_rack_sparse.get(&job).copied()
+        }
+        .unwrap_or(Bytes::ZERO)
     }
 
     /// Debug-build sanity checks on the counters. Since every recorded
@@ -137,6 +159,18 @@ mod tests {
         assert_eq!(s.local_bytes, Bytes(7.0));
         assert_eq!(s.cross_rack_of(JobId(1)), Bytes(100.0));
         assert_eq!(s.cross_rack_of(JobId(2)), Bytes::ZERO);
-        assert_eq!(s.network_by_job[&JobId(1)], Bytes(150.0));
+    }
+
+    #[test]
+    fn sparse_job_ids_keep_their_own_counters() {
+        let mut s = FabricStats::default();
+        let far = JobId(u32::MAX);
+        s.record_transfer(Some(far), Bytes(5.0), true, false);
+        s.record_transfer(Some(JobId(3)), Bytes(2.0), true, false);
+        s.record_transfer(Some(far), Bytes(1.0), true, false);
+        assert_eq!(s.cross_rack_of(far), Bytes(6.0));
+        assert_eq!(s.cross_rack_of(JobId(3)), Bytes(2.0));
+        assert_eq!(s.cross_rack_of(JobId(DENSE_JOBS as u32)), Bytes::ZERO);
+        assert!(s.cross_rack_by_job.len() <= 4, "dense counters stay small");
     }
 }

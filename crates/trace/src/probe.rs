@@ -48,7 +48,10 @@ use crate::histogram::LogHistogram;
 pub enum SpanKind {
     /// One `Fabric::recompute` (CSR rebuild + allocation + rate apply).
     FabricRecompute = 0,
-    /// The max-min water-filling allocation inside a recompute.
+    /// The allocation inside a recompute. On the fair path this covers,
+    /// per re-solved component, the compaction into its canonical
+    /// subproblem, the water-filling rounds and the splice of rates and
+    /// the calendar entry; on the Varys path, the allocator call.
     FabricMaxMin,
     /// Scoring one candidate allocation inside `provision`.
     CandidateScore,
