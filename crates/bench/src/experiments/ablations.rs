@@ -194,7 +194,7 @@ fn straggler_ablation() {
         table::row(&[
             label.to_string(),
             table::secs(r.makespan.as_secs()),
-            table::secs(corral_cluster::metrics::percentile(&t, 90.0)),
+            table::secs(corral_trace::percentile(&t, 90.0)),
         ]);
         csv.push(vec![
             model.map(|m| m.probability).unwrap_or(0.0),

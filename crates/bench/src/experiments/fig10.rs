@@ -11,9 +11,10 @@
 use crate::experiments::bench_scale;
 use crate::runner::{run_variant, RunConfig, Variant};
 use crate::table;
-use corral_cluster::metrics::{percentile, reduction_pct};
+use corral_cluster::metrics::reduction_pct;
 use corral_core::Objective;
 use corral_model::{JobId, JobSpec, SimTime};
+use corral_trace::percentile;
 use corral_workloads::{assign_uniform_arrivals, tpch, w1};
 
 /// Builds the mixed workload: 15 plannable TPC-H queries + W1 background

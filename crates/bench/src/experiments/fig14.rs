@@ -10,9 +10,9 @@
 use crate::runner::{run_variant, RunConfig, Variant};
 use crate::table;
 use corral_cluster::config::NetPolicy;
-use corral_cluster::metrics::percentile;
 use corral_core::Objective;
 use corral_model::SimTime;
+use corral_trace::percentile;
 use corral_workloads::{assign_uniform_arrivals, w1};
 
 /// Runs the 2×2 grid and returns (label, sorted completion times).

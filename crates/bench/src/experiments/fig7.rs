@@ -12,8 +12,9 @@
 use crate::experiments::workload_shared;
 use crate::runner::{run_variant_grid, RunConfig, Variant};
 use crate::table;
-use corral_cluster::metrics::{percentile, reduction_pct};
+use corral_cluster::metrics::reduction_pct;
 use corral_core::Objective;
+use corral_trace::percentile;
 
 /// Runs all three workloads under the four systems and prints 7a/7b/7c/bal.
 pub fn main() {

@@ -7,8 +7,9 @@
 use crate::experiments::workload_online;
 use crate::runner::{run_variant_grid, RunConfig, Variant};
 use crate::table;
-use corral_cluster::metrics::{percentile, reduction_pct};
+use corral_cluster::metrics::reduction_pct;
 use corral_core::Objective;
+use corral_trace::percentile;
 
 /// Completion-time distributions per system for one workload, pooled
 /// over the configured arrival-seed pool

@@ -71,7 +71,7 @@ pub fn validate(workload_name: &str) -> (f64, f64) {
         errors.push(((pred - run) / run).abs() * 100.0);
     }
     errors.sort_by(f64::total_cmp);
-    let median_err = corral_cluster::metrics::percentile(&errors, 50.0);
+    let median_err = corral_trace::percentile(&errors, 50.0);
     (median_err, spearman(&predicted, &actual))
 }
 

@@ -116,7 +116,7 @@ pub fn main() {
     for (i, (label, mut t)) in agg.into_iter().enumerate() {
         t.sort_by(f64::total_cmp);
         let mean = t.iter().sum::<f64>() / t.len().max(1) as f64;
-        let median = corral_cluster::metrics::percentile(&t, 50.0);
+        let median = corral_trace::percentile(&t, 50.0);
         table::row(&[label, table::secs(mean), table::secs(median)]);
         csv.push(vec![i as f64, mean, median]);
     }

@@ -45,5 +45,5 @@ pub mod scheduler;
 
 pub use config::{DataPlacement, FailureSpec, IngestMode, NetPolicy, SimParams, StragglerModel};
 pub use engine::Engine;
-pub use metrics::{percentile, JobMetrics, RunReport, TaskRecord};
+pub use metrics::{JobMetrics, RunReport, TaskRecord};
 pub use scheduler::SchedulerKind;

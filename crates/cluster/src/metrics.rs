@@ -1,6 +1,7 @@
 //! Run metrics: everything the paper's figures are computed from.
 
 use corral_model::{Bytes, JobId, MachineId, SimTime, StageId};
+use corral_trace::percentile;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -195,22 +196,6 @@ impl RunReport {
         v.sort_by(f64::total_cmp);
         v
     }
-}
-
-/// The `p`-th percentile (0–100) of an ascending-sorted sample, with linear
-/// interpolation; `0.0` on empty input.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 /// Percentage reduction of `ours` versus `baseline` (positive = better).

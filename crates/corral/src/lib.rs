@@ -61,7 +61,7 @@ pub mod cli;
 pub mod prelude {
     pub use corral_cluster::config::{DataPlacement, FailureSpec, NetPolicy, SimParams};
     pub use corral_cluster::engine::Engine;
-    pub use corral_cluster::metrics::{percentile, reduction_pct, JobMetrics, RunReport};
+    pub use corral_cluster::metrics::{reduction_pct, JobMetrics, RunReport};
     pub use corral_cluster::scheduler::SchedulerKind;
     pub use corral_core::{plan_jobs, Objective, Plan, PlannerConfig};
     pub use corral_model::{
@@ -69,5 +69,6 @@ pub mod prelude {
         SimTime,
     };
     pub use corral_simnet::background::BackgroundModel;
+    pub use corral_trace::percentile;
     pub use corral_workloads::{assign_uniform_arrivals, make_batch, Scale};
 }

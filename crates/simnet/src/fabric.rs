@@ -48,10 +48,11 @@
 //! per-flow calendar's. Components untouched by a change keep their
 //! entry.
 //!
-//! Both paths solve the same canonical per-component subproblems (members
+//! Both paths split and solve components through one routine
+//! (`maxmin::ComponentScratch`: canonical subproblems with members
 //! ascending by flow slot, links ascending by id, compact ids by rank), so
 //! the per-flow rates are bit-identical pure functions of the alive flow
-//! set. One shadow oracle enforces that ([`Fabric::recompute_full`]):
+//! set. One shadow oracle enforces that ([`Fabric::set_full_oracle`]):
 //! armed by default in debug builds, it rebuilds the CSR of the alive flows
 //! after each recompute, re-solves it through
 //! [`RatePolicy::allocate_from_scratch`], and panics on any rate-bit
@@ -63,7 +64,6 @@ use crate::allocator::{AllocScratch, DirtyCtx, DirtyOutcome, FlowTable, RatePoli
 use crate::engine::CalendarQueue;
 use crate::flow::{CoflowId, FlowKind, FlowSpec, FlowState, FlowTag};
 use crate::link::LinkId;
-use crate::maxmin;
 use crate::stats::FabricStats;
 use crate::topology::Topology;
 use crate::varys;
@@ -124,30 +124,6 @@ fn deadline_for(now: f64, rem: f64, rate: f64) -> f64 {
     } else {
         now + rem / rate
     }
-}
-
-/// Union-find `find` with path halving.
-#[inline]
-fn find(uf: &mut [u32], mut x: u32) -> u32 {
-    while uf[x as usize] != x {
-        let p = uf[x as usize];
-        uf[x as usize] = uf[p as usize];
-        x = uf[x as usize];
-    }
-    x
-}
-
-/// Union by **minimum root**, so every set's representative is its smallest
-/// member index — the canonical ordering both decompositions share.
-#[inline]
-fn union(uf: &mut [u32], a: u32, b: u32) {
-    let ra = find(uf, a);
-    let rb = find(uf, b);
-    if ra == rb {
-        return;
-    }
-    let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-    uf[hi as usize] = lo;
 }
 
 /// A CSR flow table of the alive network flows plus the solver's output
@@ -245,12 +221,6 @@ struct IncState {
     // -- per-link --
     /// Component currently owning each link (`NO_COMP` if idle).
     link_comp: Vec<u32>,
-    /// Round-stamped: first candidate index seen on the link (union seed).
-    link_first: Vec<u32>,
-    /// Round-stamped: compact link id within the component being built.
-    link_local: Vec<u32>,
-    /// Validity stamps for `link_first` / `link_local`.
-    link_stamp: Vec<u64>,
     // -- components --
     /// Member flow slots per component, ascending.
     comp_flows: Vec<Vec<u32>>,
@@ -286,26 +256,10 @@ struct IncState {
     /// recompute, ascending slot order, dead-filtered.
     added: Vec<(u64, u32)>,
     // -- recompute scratch --
-    /// Monotone round counter for the stamp arrays.
+    /// Monotone round counter for `comp_stamp`.
     round: u64,
     /// Candidate flows of the current recompute, ascending.
     cand: Vec<u32>,
-    /// Union-find parents over candidate indices.
-    uf: Vec<u32>,
-    /// Root candidate index → new component id.
-    root_comp: Vec<u32>,
-    /// Components formed this round, ascending-min-member order.
-    new_comps: Vec<u32>,
-    /// One component's links, deduped and sorted ascending.
-    comp_links: Vec<LinkId>,
-    /// Effective capacities of `comp_links`, compact order.
-    sub_caps: Vec<f64>,
-    /// Compact CSR offsets for the component's members.
-    sub_off: Vec<u32>,
-    /// Compact CSR link ids.
-    sub_links: Vec<LinkId>,
-    /// Solver output per member.
-    sub_rates: Vec<f64>,
     /// Dead (`None`) slots still lingering in `Fabric::active`; drives the
     /// amortized purge.
     dead: usize,
@@ -316,9 +270,6 @@ impl IncState {
     fn new(nlinks: usize) -> Self {
         IncState {
             link_comp: vec![NO_COMP; nlinks],
-            link_first: vec![0; nlinks],
-            link_local: vec![0; nlinks],
-            link_stamp: vec![0; nlinks],
             ..IncState::default()
         }
     }
@@ -345,9 +296,6 @@ impl IncState {
     /// flow id space, not with leaks) and `comp_flows` inner vectors.
     fn footprint(&self) -> usize {
         self.link_comp.capacity()
-            + self.link_first.capacity()
-            + self.link_local.capacity()
-            + self.link_stamp.capacity()
             + self.comp_flows.capacity()
             + self.comp_stamp.capacity()
             + self.comp_gen.capacity()
@@ -358,14 +306,6 @@ impl IncState {
             + self.pending_departed.capacity()
             + self.added.capacity()
             + self.cand.capacity()
-            + self.uf.capacity()
-            + self.root_comp.capacity()
-            + self.new_comps.capacity()
-            + self.comp_links.capacity()
-            + self.sub_caps.capacity()
-            + self.sub_off.capacity()
-            + self.sub_links.capacity()
-            + self.sub_rates.capacity()
     }
 
     /// The flow a completion-calendar entry completes, or `None` once the
@@ -564,11 +504,6 @@ impl Fabric {
             edge_carried / (edge_cap * elapsed),
             core_carried / (core_cap * elapsed),
         )
-    }
-
-    /// Bytes carried so far by one directed link (utilization drill-down).
-    pub fn link_carried(&self, link: LinkId) -> Bytes {
-        self.topo.links()[link.index()].carried
     }
 
     /// The active allocation policy's name.
@@ -801,28 +736,10 @@ impl Fabric {
     /// backgrounded links) are left in place.
     pub fn drain(&mut self) -> Vec<CompletedFlow> {
         let mut out = Vec::new();
-        self.drain_collect(&mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Fabric::drain`]: completions are
-    /// appended to `out`.
-    pub fn drain_collect(&mut self, out: &mut Vec<CompletedFlow>) {
         while let Some(tc) = self.next_completion() {
-            self.advance_collect(tc, out);
+            self.advance_collect(tc, &mut out);
         }
-    }
-
-    /// Runs the shadow oracle now: a from-scratch solve of the entire
-    /// alive flow set, asserting bit-equality with the incrementally
-    /// maintained rate table (panicking on divergence). Recomputes first if
-    /// the fabric is dirty; reads but never writes simulation state or
-    /// statistics.
-    pub fn recompute_full(&mut self) {
-        if self.dirty {
-            self.recompute();
-        }
-        self.oracle_check();
+        out
     }
 
     /// Dispatches to the recompute path of the fabric's policy.
@@ -1128,119 +1045,47 @@ impl Fabric {
             }
         }
 
-        // Phase 4 + 5: union-find the candidates through shared links
-        // (union by min root ⇒ canonical representatives), then form the
-        // new components in ascending-min-member order with members
-        // ascending inside each.
-        {
-            let flows = &self.flows;
-            let inc = &mut self.inc;
-            inc.round += 1;
-            let round = inc.round;
-            let n = inc.cand.len();
-            inc.uf.clear();
-            inc.uf.extend(0..n as u32);
-            for i in 0..n {
-                let s = inc.cand[i] as usize;
-                let f = flows[s].as_ref().unwrap();
-                for &l in f.path.as_slice() {
-                    let li = l.index();
-                    if inc.link_stamp[li] != round {
-                        inc.link_stamp[li] = round;
-                        inc.link_first[li] = i as u32;
-                    } else {
-                        let j = inc.link_first[li];
-                        union(&mut inc.uf, i as u32, j);
-                    }
-                }
-            }
-            inc.root_comp.clear();
-            inc.root_comp.resize(n, NO_COMP);
-            inc.new_comps.clear();
-            for i in 0..n {
-                let r = find(&mut inc.uf, i as u32) as usize;
-                let mut c = inc.root_comp[r];
-                if c == NO_COMP {
-                    c = inc.alloc_comp();
-                    inc.root_comp[r] = c;
-                    inc.new_comps.push(c);
-                }
-                let s = inc.cand[i];
-                inc.comp_flows[c as usize].push(s);
-                inc.comp_of[s as usize] = c;
-            }
-        }
-
-        // Phase 6: solve each new component on its canonical compacted
-        // subproblem (links deduped + sorted ascending, compact ids by
-        // rank, members ascending) and splice rates, deadlines, and the
-        // component's fresh calendar entry back.
+        // Phase 4: split the candidates into components (ascending
+        // minimum member, members ascending) and solve each on its
+        // canonical compacted subproblem. Each gets a fresh component id
+        // owning its links, its members' rates and deadlines, and one
+        // calendar entry.
         let mut rounds_total: u64 = 0;
         let mut pushes: u64 = 0;
         let dirtied = self.inc.cand.len() as u64;
         {
-            let _mm = probe::span(probe::SpanKind::FabricMaxMin);
             let flows = &self.flows;
-            let topo = &self.topo;
-            let maxmin_ws = &mut self.scratch.alloc.maxmin;
+            let links = self.topo.links();
+            let alloc = &mut self.scratch.alloc;
             let calendar = &mut self.calendar;
             let inc = &mut self.inc;
-            for nci in 0..inc.new_comps.len() {
-                let c = inc.new_comps[nci] as usize;
-                inc.round += 1;
-                let round = inc.round;
-                inc.comp_links.clear();
-                for mi in 0..inc.comp_flows[c].len() {
-                    let s = inc.comp_flows[c][mi] as usize;
-                    let f = flows[s].as_ref().unwrap();
-                    for &l in f.path.as_slice() {
-                        let li = l.index();
-                        if inc.link_stamp[li] != round {
-                            inc.link_stamp[li] = round;
-                            inc.comp_links.push(l);
-                        }
-                    }
-                }
-                inc.comp_links.sort_unstable_by_key(|l| l.index());
-                inc.sub_caps.clear();
-                for j in 0..inc.comp_links.len() {
-                    let l = inc.comp_links[j];
-                    inc.link_local[l.index()] = j as u32;
-                    inc.link_comp[l.index()] = c as u32;
-                    inc.sub_caps
-                        .push(topo.links()[l.index()].effective_capacity().0);
-                }
-                inc.sub_off.clear();
-                inc.sub_links.clear();
-                inc.sub_off.push(0);
-                let nmem = inc.comp_flows[c].len();
-                for mi in 0..nmem {
-                    let s = inc.comp_flows[c][mi] as usize;
-                    let f = flows[s].as_ref().unwrap();
-                    for &l in f.path.as_slice() {
-                        inc.sub_links.push(LinkId(inc.link_local[l.index()]));
-                    }
-                    inc.sub_off.push(inc.sub_links.len() as u32);
-                }
-                inc.sub_rates.clear();
-                inc.sub_rates.resize(nmem, 0.0);
-                maxmin::max_min_rates_csr(
-                    &inc.sub_caps,
-                    &inc.sub_off,
-                    &inc.sub_links,
-                    &mut inc.sub_rates,
-                    maxmin_ws,
+            let cand = std::mem::take(&mut inc.cand);
+            let path = |i: usize| flows[cand[i] as usize].as_ref().unwrap().path.as_slice();
+            alloc.comp.split(links.len(), cand.len(), path);
+            let _mm = probe::span(probe::SpanKind::FabricMaxMin);
+            for k in 0..alloc.comp.len() {
+                let c = inc.alloc_comp();
+                let comp = alloc.comp.solve(
+                    k,
+                    path,
+                    |l| links[l].effective_capacity().0,
+                    &mut alloc.maxmin,
                 );
-                rounds_total += maxmin_ws.last_rounds();
+                rounds_total += alloc.maxmin.last_rounds();
+                for &l in comp.links {
+                    inc.link_comp[l.index()] = c;
+                }
                 // One calendar entry per component, at its earliest
                 // deadline, for the first member (ascending slot) that
                 // attains it: the member a per-flow queue would pop first
                 // among this block of consecutive pushes.
                 let mut first = f64::INFINITY;
                 let mut head = 0;
-                for mi in 0..nmem {
-                    let s = inc.comp_flows[c][mi] as usize;
-                    let rate = inc.sub_rates[mi];
+                for (&row, &rate) in comp.rows.iter().zip(comp.rates) {
+                    let s = cand[row as usize];
+                    inc.comp_flows[c as usize].push(s);
+                    let s = s as usize;
+                    inc.comp_of[s] = c;
                     inc.rate[s] = rate;
                     // Epoch is `now` from phase 2's materialization.
                     let d = deadline_for(now, inc.rem[s], rate);
@@ -1251,11 +1096,12 @@ impl Fabric {
                     }
                 }
                 if first.is_finite() {
-                    inc.comp_head[c] = head;
-                    calendar.push(first, (COMP_ENTRY | c as u32, inc.comp_gen[c]));
+                    inc.comp_head[c as usize] = head;
+                    calendar.push(first, (COMP_ENTRY | c, inc.comp_gen[c as usize]));
                     pushes += 1;
                 }
             }
+            inc.cand = cand;
         }
         self.stats.calendar_pushes += pushes;
         self.stats.maxmin_rounds += rounds_total;
@@ -1633,7 +1479,7 @@ mod tests {
         );
         // Drill-down: the uplink of rack 0 carried all 1.25 GB.
         let up = f.topology().rack_up(RackId(0));
-        assert!((f.link_carried(up).as_gb() - 1.25).abs() < 1e-6);
+        assert!((f.topology().links()[up.index()].carried.as_gb() - 1.25).abs() < 1e-6);
     }
 
     #[test]
@@ -1745,10 +1591,10 @@ mod tests {
     #[test]
     fn varys_drives_the_coflow_incremental_path() {
         let mut f = Fabric::new(ClusterConfig::tiny_test(), RatePolicy::Varys);
+        f.set_full_oracle(true); // force on even in release builds
         for i in 0..3 {
             f.start_flow(spec(i, 4 + i, 0.4));
         }
-        f.recompute_full(); // armed mid-run oracle pass
         f.drain();
         let s = f.stats();
         // First recompute is a cold-cache full; completions then ride the
@@ -1807,7 +1653,6 @@ mod tests {
         f.set_rack_background(RackId(1), Bandwidth::gbps(3.0));
         f.advance_to(SimTime::secs(0.9));
         f.start_flow(spec(1, 9, 0.3));
-        f.recompute_full(); // explicit mid-run oracle pass
         f.drain();
         // Reaching here without the oracle's bit-equality assert firing is
         // the test; sanity-check the path taken.

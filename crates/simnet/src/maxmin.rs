@@ -240,17 +240,45 @@ pub fn max_min_rates_csr(
     }
 }
 
-/// Reusable workspace for the canonical per-component solve
-/// ([`max_min_rates_by_component`]): the link union-find, the
-/// `(component, row)` grouping, and one compacted subproblem at a time.
+/// Sentinel for "no component" in [`ComponentScratch`]'s per-row map.
+const NO_COMP: u32 = u32::MAX;
+
+/// The crate's one component split and canonical compaction, shared by
+/// the fair fabric's recompute, the Varys backfill and both from-scratch
+/// oracles.
+///
+/// [`split`](Self::split) partitions rows (flows, each given by its link
+/// path) into the connected components of the link↔flow graph, in
+/// ascending-min-row order with members ascending.
+/// [`solve`](Self::solve) compacts one component into its canonical
+/// subproblem — links deduped and sorted ascending, compact ids by rank,
+/// members ascending — and water-fills it. The solve's float op sequence
+/// is a function of that subproblem alone, so a flow's rate does not
+/// depend on which other components exist or on the order they are
+/// solved in.
+///
+/// Per-link state is validated by round stamps, so no call resets
+/// anything of link size: a split or a solve costs O(rows and path
+/// links), which keeps the fair fabric's recompute O(dirty).
 #[derive(Debug, Default)]
 pub(crate) struct ComponentScratch {
-    /// Union-find parent per link (min-root) for the component split.
+    /// Union-find parent per row (union by min root).
     uf: Vec<u32>,
-    /// `(component root, row)` pairs, sorted so runs are components.
-    pub(crate) comp_rows: Vec<(u32, u32)>,
-    /// One component's links, sorted ascending (compact id = rank).
-    sub_link_ids: Vec<u32>,
+    /// Component index per row (`NO_COMP` for empty paths).
+    row_comp: Vec<u32>,
+    /// Component `k`'s rows are `rows[comp_off[k]..comp_off[k + 1]]`.
+    comp_off: Vec<u32>,
+    /// Rows grouped by component, ascending within each.
+    rows: Vec<u32>,
+    /// Per-link validity stamp for `link_tag`.
+    link_stamp: Vec<u64>,
+    /// Round-stamped per-link value: the first row seen on the link while
+    /// splitting, the link's compact rank while compacting.
+    link_tag: Vec<u32>,
+    /// Current stamp round.
+    round: u64,
+    /// The compacted component's links, ascending (compact id = rank).
+    sub_link_ids: Vec<LinkId>,
     /// Capacities of `sub_link_ids`, compact order.
     sub_caps: Vec<f64>,
     /// Compact CSR offsets for the component's rows.
@@ -261,11 +289,25 @@ pub(crate) struct ComponentScratch {
     sub_rates: Vec<f64>,
 }
 
+/// One solved component, borrowed from its [`ComponentScratch`].
+pub(crate) struct Component<'s> {
+    /// Member rows, ascending.
+    pub rows: &'s [u32],
+    /// The component's links, ascending.
+    pub links: &'s [LinkId],
+    /// Max-min rate of each member row, parallel to `rows`.
+    pub rates: &'s [f64],
+}
+
 impl ComponentScratch {
     /// Summed capacity of all retained buffers, in elements.
     pub(crate) fn footprint(&self) -> usize {
         self.uf.capacity()
-            + self.comp_rows.capacity()
+            + self.row_comp.capacity()
+            + self.comp_off.capacity()
+            + self.rows.capacity()
+            + self.link_stamp.capacity()
+            + self.link_tag.capacity()
             + self.sub_link_ids.capacity()
             + self.sub_caps.capacity()
             + self.sub_off.capacity()
@@ -273,112 +315,161 @@ impl ComponentScratch {
             + self.sub_rates.capacity()
     }
 
-    /// Pre-sizes the split buffers for `rows` flows over `links` links.
-    pub(crate) fn reserve(&mut self, rows: usize, links: usize) {
-        self.comp_rows.clear();
-        self.comp_rows.reserve(rows);
-        self.uf.clear();
-        self.uf.reserve(links);
-    }
-
-    /// Unions the links of every flow's path (union by min root, so the
-    /// representative of each component is its smallest link id and does
-    /// not depend on union order). Afterwards [`root`](Self::root) names
-    /// the component of any link.
-    pub(crate) fn link_components(&mut self, nl: usize, flow_off: &[u32], flow_links: &[LinkId]) {
-        self.uf.clear();
-        self.uf.extend(0..nl as u32);
-        for f in 0..flow_off.len().saturating_sub(1) {
-            let path = &flow_links[flow_off[f] as usize..flow_off[f + 1] as usize];
-            let Some((first, rest)) = path.split_first() else {
-                continue;
-            };
-            for l in rest {
-                let (ra, rb) = (self.root(first.0), self.root(l.0));
-                if ra < rb {
-                    self.uf[rb as usize] = ra;
-                } else if rb < ra {
-                    self.uf[ra as usize] = rb;
-                }
-            }
+    /// Pre-sizes the row-indexed buffers for splits of up to `rows` rows.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        for v in [&mut self.uf, &mut self.row_comp, &mut self.rows] {
+            v.clear();
+            v.reserve(rows);
         }
+        self.comp_off.clear();
+        self.comp_off.reserve(rows + 1);
     }
 
-    /// The component root of link `l` (find with path halving).
-    #[inline]
-    pub(crate) fn root(&mut self, mut l: u32) -> u32 {
-        let uf = &mut self.uf;
-        while uf[l as usize] != l {
-            uf[l as usize] = uf[uf[l as usize] as usize];
-            l = uf[l as usize];
-        }
-        l
-    }
-
-    /// Solves each component run of `comp_rows` on its canonical
-    /// compacted subproblem — links deduped and sorted ascending, compact
-    /// ids by rank, rows ascending — and writes each row's rate into
-    /// `rates`. Rows not listed in `comp_rows` are left untouched.
-    /// Returns the summed freeze rounds.
-    pub(crate) fn solve(
+    /// Splits rows `0..n` — row `i` crossing the links `path(i)`, all
+    /// below `nlinks` — into connected components. Rows sharing a link
+    /// are unioned (by min root, so a component's representative is its
+    /// smallest row); rows with empty paths join no component.
+    pub(crate) fn split<'a>(
         &mut self,
-        capacity: &[f64],
-        flow_off: &[u32],
-        flow_links: &[LinkId],
-        rates: &mut [f64],
-        ws: &mut MaxMinScratch,
-    ) -> u64 {
-        let ComponentScratch {
-            comp_rows,
-            sub_link_ids,
-            sub_caps,
-            sub_off,
-            sub_links,
-            sub_rates,
-            ..
-        } = self;
-        let path = |row: u32| {
-            let f = row as usize;
-            &flow_links[flow_off[f] as usize..flow_off[f + 1] as usize]
-        };
-        let mut rounds = 0u64;
-        let mut s = 0usize;
-        while s < comp_rows.len() {
-            let root = comp_rows[s].0;
-            let mut e = s + 1;
-            while e < comp_rows.len() && comp_rows[e].0 == root {
-                e += 1;
-            }
-            sub_link_ids.clear();
-            for &(_, row) in &comp_rows[s..e] {
-                sub_link_ids.extend(path(row).iter().map(|l| l.0));
-            }
-            sub_link_ids.sort_unstable();
-            sub_link_ids.dedup();
-            sub_caps.clear();
-            sub_caps.extend(sub_link_ids.iter().map(|&l| capacity[l as usize]));
-            sub_off.clear();
-            sub_off.push(0);
-            sub_links.clear();
-            for &(_, row) in &comp_rows[s..e] {
-                for l in path(row) {
-                    let rank = sub_link_ids
-                        .binary_search(&l.0)
-                        .expect("component link missing from its own dedup");
-                    sub_links.push(LinkId(rank as u32));
-                }
-                sub_off.push(sub_links.len() as u32);
-            }
-            sub_rates.clear();
-            sub_rates.resize(e - s, 0.0);
-            max_min_rates_csr(sub_caps, sub_off, sub_links, sub_rates, ws);
-            rounds += ws.last_rounds();
-            for (k, &(_, row)) in comp_rows[s..e].iter().enumerate() {
-                rates[row as usize] = sub_rates[k];
-            }
-            s = e;
+        nlinks: usize,
+        n: usize,
+        path: impl Fn(usize) -> &'a [LinkId],
+    ) {
+        debug_assert!(n < NO_COMP as usize, "row index collides with the sentinel");
+        if self.link_stamp.len() < nlinks {
+            self.link_stamp.resize(nlinks, 0);
+            self.link_tag.resize(nlinks, 0);
         }
-        rounds
+        self.round += 1;
+        let round = self.round;
+        let (uf, row_comp) = (&mut self.uf, &mut self.row_comp);
+        uf.clear();
+        uf.extend(0..n as u32);
+        row_comp.clear();
+        row_comp.resize(n, 0);
+        // Find with path halving.
+        let root = |uf: &mut Vec<u32>, mut x: u32| {
+            while uf[x as usize] != x {
+                uf[x as usize] = uf[uf[x as usize] as usize];
+                x = uf[x as usize];
+            }
+            x
+        };
+        for (i, rc) in row_comp.iter_mut().enumerate() {
+            let p = path(i);
+            if p.is_empty() {
+                *rc = NO_COMP;
+            }
+            for l in p {
+                let l = l.index();
+                if self.link_stamp[l] != round {
+                    self.link_stamp[l] = round;
+                    self.link_tag[l] = i as u32;
+                } else {
+                    let (a, b) = (root(uf, i as u32), root(uf, self.link_tag[l]));
+                    if a != b {
+                        uf[a.max(b) as usize] = a.min(b);
+                    }
+                }
+            }
+        }
+        // Number the components in ascending-min-row order (a row that
+        // is its own root opens one) and count their rows into
+        // `comp_off[k]`; a trailing slot turns the prefix sums into ends.
+        let comp_off = &mut self.comp_off;
+        comp_off.clear();
+        for i in 0..n {
+            if row_comp[i] == NO_COMP {
+                continue;
+            }
+            let r = root(uf, i as u32) as usize;
+            let k = if r == i {
+                comp_off.push(0);
+                comp_off.len() - 1
+            } else {
+                row_comp[r] as usize
+            };
+            row_comp[i] = k as u32;
+            comp_off[k] += 1;
+        }
+        comp_off.push(0);
+        for k in 1..comp_off.len() {
+            comp_off[k] += comp_off[k - 1];
+        }
+        // Scatter rows backwards from each component's end: members land
+        // ascending and `comp_off[k]` ends at the component's start.
+        self.rows.clear();
+        self.rows.resize(comp_off[comp_off.len() - 1] as usize, 0);
+        for i in (0..n).rev() {
+            let k = row_comp[i];
+            if k != NO_COMP {
+                comp_off[k as usize] -= 1;
+                self.rows[comp_off[k as usize] as usize] = i as u32;
+            }
+        }
+    }
+
+    /// Number of components of the last [`split`](Self::split).
+    pub(crate) fn len(&self) -> usize {
+        self.comp_off.len().saturating_sub(1)
+    }
+
+    /// Rows of component `k`, ascending.
+    pub(crate) fn rows(&self, k: usize) -> &[u32] {
+        &self.rows[self.comp_off[k] as usize..self.comp_off[k + 1] as usize]
+    }
+
+    /// Solves component `k` of the last split on its canonical compacted
+    /// subproblem. `path` must be the split's; `cap(l)` is link `l`'s
+    /// capacity. The freeze rounds are `ws.last_rounds()`.
+    pub(crate) fn solve<'a>(
+        &mut self,
+        k: usize,
+        path: impl Fn(usize) -> &'a [LinkId],
+        cap: impl Fn(usize) -> f64,
+        ws: &mut MaxMinScratch,
+    ) -> Component<'_> {
+        self.round += 1;
+        let round = self.round;
+        let rows = &self.rows[self.comp_off[k] as usize..self.comp_off[k + 1] as usize];
+        self.sub_link_ids.clear();
+        for &row in rows {
+            for &l in path(row as usize) {
+                if self.link_stamp[l.index()] != round {
+                    self.link_stamp[l.index()] = round;
+                    self.sub_link_ids.push(l);
+                }
+            }
+        }
+        self.sub_link_ids.sort_unstable();
+        self.sub_caps.clear();
+        for (rank, &l) in self.sub_link_ids.iter().enumerate() {
+            self.link_tag[l.index()] = rank as u32;
+            self.sub_caps.push(cap(l.index()));
+        }
+        self.sub_off.clear();
+        self.sub_off.push(0);
+        self.sub_links.clear();
+        for &row in rows {
+            for &l in path(row as usize) {
+                self.sub_links.push(LinkId(self.link_tag[l.index()]));
+            }
+            self.sub_off.push(self.sub_links.len() as u32);
+        }
+        self.sub_rates.clear();
+        self.sub_rates.resize(rows.len(), 0.0);
+        max_min_rates_csr(
+            &self.sub_caps,
+            &self.sub_off,
+            &self.sub_links,
+            &mut self.sub_rates,
+            ws,
+        );
+        Component {
+            rows,
+            links: &self.sub_link_ids,
+            rates: &self.sub_rates,
+        }
     }
 }
 
@@ -399,16 +490,17 @@ pub(crate) fn max_min_rates_by_component(
     cs: &mut ComponentScratch,
     ws: &mut MaxMinScratch,
 ) -> u64 {
-    cs.link_components(capacity.len(), flow_off, flow_links);
-    cs.comp_rows.clear();
-    for f in 0..rates.len() {
-        if let Some(first) = flow_links[flow_off[f] as usize..flow_off[f + 1] as usize].first() {
-            let root = cs.root(first.0);
-            cs.comp_rows.push((root, f as u32));
+    let path = |f: usize| &flow_links[flow_off[f] as usize..flow_off[f + 1] as usize];
+    cs.split(capacity.len(), rates.len(), path);
+    let mut rounds = 0;
+    for k in 0..cs.len() {
+        let comp = cs.solve(k, path, |l| capacity[l], ws);
+        for (&row, &rate) in comp.rows.iter().zip(comp.rates) {
+            rates[row as usize] = rate;
         }
+        rounds += ws.last_rounds();
     }
-    cs.comp_rows.sort_unstable();
-    cs.solve(capacity, flow_off, flow_links, rates, ws)
+    rounds
 }
 
 /// Returns the load each link carries under `rates` — useful for feasibility
@@ -677,14 +769,54 @@ mod tests {
         );
     }
 
+    /// Asserts the max-min characterization of `rates` over `paths`:
+    /// (a) every flow with a path gets a finite, non-negative rate and no
+    /// link is overloaded; (b) every such flow has a bottleneck link —
+    /// saturated, and on which the flow's rate is maximal. Empty-path
+    /// flows are skipped.
+    fn assert_max_min(caps: &[f64], paths: &[&[LinkId]], rates: &[f64], what: &str) {
+        let nl = caps.len();
+        for (f, p) in paths.iter().enumerate() {
+            if !p.is_empty() {
+                assert!(
+                    rates[f].is_finite() && rates[f] >= 0.0,
+                    "{what}: flow {f} rate {}",
+                    rates[f]
+                );
+            }
+        }
+        let loads = link_loads(nl, paths, rates);
+        for l in 0..nl {
+            assert!(loads[l] <= caps[l] + 1e-6, "{what}: link {l} overloaded");
+        }
+        for f in 0..paths.len() {
+            if paths[f].is_empty() {
+                continue;
+            }
+            let has_bottleneck = paths[f].iter().any(|l| {
+                let l = l.index();
+                let saturated = loads[l] >= caps[l] - 1e-6 * caps[l].max(1.0) - 1e-9;
+                let max_on_link = paths
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| p.contains(&LinkId(l as u32)))
+                    .map(|(g, _)| rates[g])
+                    .fold(0.0f64, f64::max);
+                saturated && rates[f] >= max_on_link - 1e-6 * max_on_link.max(1.0)
+            });
+            assert!(has_bottleneck, "{what}: flow {f} lacks a bottleneck link");
+        }
+    }
+
     #[test]
     fn feasibility_and_bottleneck_property_random() {
         // Pseudo-random instances (fixed seeds) checked against the max-min
-        // characterization: (a) feasible; (b) every flow has a bottleneck
-        // link — saturated, and on which the flow's rate is maximal; and
-        // (c) the optimized CSR implementation reproduces the reference
-        // rates *bit for bit*, reusing one workspace across all instances
-        // the way the fabric does.
+        // characterization (see `assert_max_min`), and the optimized CSR
+        // implementation reproduces the reference rates *bit for bit*,
+        // reusing one workspace across all instances the way the fabric
+        // does. The per-component solve the fabric and its oracle share is
+        // checked against the same characterization on its own: a split
+        // that separated flows sharing a link would overload that link.
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -693,6 +825,7 @@ mod tests {
             state
         };
         let mut ws = MaxMinScratch::new();
+        let mut cs = ComponentScratch::default();
         for case in 0..200 {
             let nl = 3 + (next() % 8) as usize;
             let nf = 1 + (next() % 20) as usize;
@@ -725,29 +858,34 @@ mod tests {
             let paths: Vec<&[LinkId]> = paths_own.iter().map(|p| p.as_slice()).collect();
             let rates = max_min_rates(&caps, &paths);
             assert_rates_identical(&rates, &csr_rates(&caps, &paths, &mut ws), case);
-            let loads = link_loads(nl, &paths, &rates);
-            for l in 0..nl {
-                assert!(loads[l] <= caps[l] + 1e-6, "link {l} overloaded");
-            }
             for f in 0..nf {
                 if paths[f].is_empty() {
                     // Unconstrained flow: infinite rate, no bottleneck.
                     assert!(rates[f].is_infinite());
-                    continue;
                 }
-                let has_bottleneck = paths[f].iter().any(|l| {
-                    let l = l.index();
-                    let saturated = loads[l] >= caps[l] - 1e-6 * caps[l].max(1.0) - 1e-9;
-                    let max_on_link = paths
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.contains(&LinkId(l as u32)))
-                        .map(|(g, _)| rates[g])
-                        .fold(0.0f64, f64::max);
-                    saturated && rates[f] >= max_on_link - 1e-6 * max_on_link.max(1.0)
-                });
-                assert!(has_bottleneck, "flow {f} lacks a bottleneck link");
             }
+            assert_max_min(&caps, &paths, &rates, &format!("case {case} reference"));
+
+            let mut flow_off = vec![0u32];
+            let flow_links: Vec<LinkId> = paths.concat();
+            for p in &paths {
+                flow_off.push(flow_off[flow_off.len() - 1] + p.len() as u32);
+            }
+            let mut by_comp = vec![f64::NAN; nf];
+            max_min_rates_by_component(
+                &caps,
+                &flow_off,
+                &flow_links,
+                &mut by_comp,
+                &mut cs,
+                &mut ws,
+            );
+            assert_max_min(
+                &caps,
+                &paths,
+                &by_comp,
+                &format!("case {case} by component"),
+            );
         }
     }
 

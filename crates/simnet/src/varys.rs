@@ -54,8 +54,6 @@ pub struct VarysScratch {
     carry: Vec<f64>,
     /// Per-link dirty mark for the current call.
     link_dirty: Vec<bool>,
-    /// Per-component (indexed by min-root link) dirty mark.
-    comp_dirty: Vec<bool>,
     /// `(key, Γ, handle)` staging list for directory rebuilds.
     dir_tmp: Vec<(u64, f64, u32)>,
 }
@@ -74,7 +72,6 @@ impl VarysScratch {
             + self.dirty_keys.capacity()
             + self.carry.capacity()
             + self.link_dirty.capacity()
-            + self.comp_dirty.capacity()
             + self.dir_tmp.capacity()
             + self.inc.footprint()
     }
@@ -373,7 +370,6 @@ fn rebuild_cache(scratch: &mut AllocScratch, ctx: &DirtyCtx<'_>) {
         dirty_keys,
         carry,
         link_dirty,
-        comp_dirty,
         ..
     } = ws;
     inc.recycle();
@@ -418,11 +414,9 @@ fn rebuild_cache(scratch: &mut AllocScratch, ctx: &DirtyCtx<'_>) {
     dirty_keys.reserve(n);
     carry.clear();
     carry.reserve(n);
-    comp.reserve(n, nl);
+    comp.reserve(n);
     link_dirty.clear();
     link_dirty.reserve(nl);
-    comp_dirty.clear();
-    comp_dirty.reserve(nl);
     // Departures can return every handle to the free list.
     let free_hwm = inc.members.len().saturating_sub(inc.free.len());
     inc.free.reserve(free_hwm);
@@ -470,7 +464,6 @@ fn solve_incremental(
         dirty_keys,
         carry,
         link_dirty,
-        comp_dirty,
         ..
     } = ws;
 
@@ -601,19 +594,8 @@ fn solve_incremental(
         }
     }
 
-    // 5. Component split over the current graph; a component is dirty
-    //    when any of its links is.
-    comp.link_components(nl, table.flow_off, table.flow_links);
-    comp_dirty.clear();
-    comp_dirty.resize(nl, false);
-    for l in 0..nl as u32 {
-        if link_dirty[l as usize] {
-            comp_dirty[comp.root(l) as usize] = true;
-        }
-    }
-
-    // 6. Splice the previous backfill into clean rows (two-pointer merge
-    //    on ascending slots) and re-solve the dirty components.
+    // 5. Carry the previous backfill over by slot (two-pointer merge on
+    //    ascending slots) for the components that stay clean.
     carry.clear();
     carry.resize(n, f64::NAN);
     {
@@ -627,29 +609,39 @@ fn solve_incremental(
             }
         }
     }
+
+    // 6. Split the current graph into components; a component is dirty
+    //    when any of its links is. Re-solve the dirty ones and splice the
+    //    carried backfill into the clean ones.
+    let path = |row: usize| table.path(row);
+    comp.split(nl, n, path);
     extra.clear();
     extra.resize(n, 0.0);
-    comp.comp_rows.clear();
     let mut dirty_flows = 0u64;
-    for row in 0..n {
-        let path = table.path(row);
-        if path.is_empty() {
-            continue;
-        }
-        let root = comp.root(path[0].0);
-        if comp_dirty[root as usize] {
-            comp.comp_rows.push((root, row as u32));
-            dirty_flows += 1;
+    let mut rounds = 0u64;
+    for k in 0..comp.len() {
+        let dirty = comp
+            .rows(k)
+            .iter()
+            .any(|&row| path(row as usize).iter().any(|l| link_dirty[l.index()]));
+        if dirty {
+            let solved = comp.solve(k, path, |l| residual[l], maxmin_ws);
+            for (&row, &e) in solved.rows.iter().zip(solved.rates) {
+                extra[row as usize] = e;
+            }
+            dirty_flows += solved.rows.len() as u64;
+            rounds += maxmin_ws.last_rounds();
         } else {
-            debug_assert!(
-                !carry[row].is_nan(),
-                "clean-component row without a cached backfill"
-            );
-            extra[row] = carry[row];
+            for &row in comp.rows(k) {
+                let row = row as usize;
+                debug_assert!(
+                    !carry[row].is_nan(),
+                    "clean-component row without a cached backfill"
+                );
+                extra[row] = carry[row];
+            }
         }
     }
-    comp.comp_rows.sort_unstable();
-    let rounds = comp.solve(residual, table.flow_off, table.flow_links, extra, maxmin_ws);
     for (r, &e) in rates.iter_mut().zip(extra.iter()) {
         if e.is_finite() {
             *r += e;

@@ -2,9 +2,11 @@
 //! reports per configuration.
 //!
 //! Everything here is deterministic given the input slice — sorting is
-//! by `f64::total_cmp` and the percentile rule is the same linear
-//! interpolation the cluster metrics use — so aggregated tables are as
-//! reproducible as the per-cell results feeding them.
+//! by `f64::total_cmp` and the percentile rule is the workspace's one
+//! linear interpolation, [`corral_trace::percentile`] — so aggregated
+//! tables are as reproducible as the per-cell results feeding them.
+
+use corral_trace::percentile;
 
 /// Summary statistics of one metric across sweep cells (typically one
 /// value per seed).
@@ -78,22 +80,6 @@ impl std::fmt::Display for Summary {
             self.mean, self.ci95, self.p50, self.p90, self.p99, self.n
         )
     }
-}
-
-/// The `p`-th percentile (0–100) of an ascending-sorted sample, linear
-/// interpolation between ranks; `0.0` on empty input.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 #[cfg(test)]

@@ -22,32 +22,24 @@
 //!   ([`SweepPool::cells_done`] and its siblings), rendered to stderr
 //!   when it is a terminal.
 //!
-//! The three layers:
+//! The two layers:
 //!
 //! * [`pool`] — [`SweepPool`]: the execution engine
 //!   (`pool.run(n, |i| …)` → `Vec<Result<T, CellFailure>>` in index
 //!   order);
-//! * [`spec`] — [`SweepSpec`]: a builder for cartesian grids over
-//!   variants / seeds / parameter axes, producing indexed [`Cell`]s;
 //! * [`agg`] — [`Summary`]: cross-seed aggregation (mean, p50/p90/p99,
 //!   95% CI half-width) for feeding result tables.
 //!
 //! ```
-//! use corral_sweep::{SweepPool, SweepSpec, Summary};
+//! use corral_sweep::{SweepPool, Summary};
 //!
-//! #[derive(Clone)]
-//! struct Cfg { seed: u64, scale: f64 }
-//!
-//! let cells = SweepSpec::new(Cfg { seed: 0, scale: 1.0 })
-//!     .axis("scale", vec![1.0, 2.0], |c: &mut Cfg, &s| c.scale = s)
-//!     .axis("seed", vec![1u64, 2, 3], |c: &mut Cfg, &s| c.seed = s)
-//!     .cells();
-//! assert_eq!(cells.len(), 6);
-//!
+//! // Cells are indices into a grid the caller lays out: here scale-major
+//! // over two scales and three seeds.
+//! let (scales, seeds) = ([1.0, 2.0], [1u64, 2, 3]);
 //! let pool = SweepPool::new(4);
-//! let results = pool.run(cells.len(), |i| {
-//!     let cfg = &cells[i].cfg;
-//!     cfg.scale * (cfg.seed as f64) // stand-in for a simulation run
+//! let results = pool.run(scales.len() * seeds.len(), |i| {
+//!     let (scale, seed) = (scales[i / seeds.len()], seeds[i % seeds.len()]);
+//!     scale * seed as f64 // stand-in for a simulation run
 //! });
 //! let values: Vec<f64> = results.into_iter().map(|r| r.unwrap()).collect();
 //! assert_eq!(values, vec![1.0, 2.0, 3.0, 2.0, 4.0, 6.0]); // index order
@@ -60,8 +52,6 @@
 
 pub mod agg;
 pub mod pool;
-pub mod spec;
 
 pub use agg::Summary;
 pub use pool::{default_jobs, derive_seeds, CellFailure, CellResult, SweepPool};
-pub use spec::{Cell, SweepSpec};

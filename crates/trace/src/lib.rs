@@ -45,7 +45,7 @@ pub use histogram::LogHistogram;
 pub use metrics::TimeWeightedGauge;
 pub use perfetto::{chrome_trace, chrome_trace_with_probe};
 pub use probe::{ProbeCounter, ProbeReport, SpanKind};
-pub use summary::{LocalityCounts, Percentiles, PlanningCost, RunSummary};
+pub use summary::{percentile, LocalityCounts, Percentiles, PlanningCost, RunSummary};
 pub use tracer::{
     FanoutTracer, JsonlTracer, MemTracer, NullTracer, SharedTracer, TimedEvent, Tracer,
 };

@@ -28,6 +28,22 @@ impl Percentiles {
     }
 }
 
+/// The `p`-th percentile (0–100) of an ascending-sorted sample, with linear
+/// interpolation between ranks; `0.0` on empty input.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    if sorted.len() == 1 {
+        return sorted[0];
+    }
+    let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+}
+
 /// Tasks scheduled at each locality level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalityCounts {

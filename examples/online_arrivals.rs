@@ -7,8 +7,8 @@
 //! ```
 
 use corral::cluster::config::DataPlacement;
-use corral::cluster::metrics::percentile;
 use corral::prelude::*;
+use corral::trace::percentile;
 use corral::workloads::w1;
 
 fn main() {
