@@ -42,6 +42,7 @@
 //! after an *intentional* change with `CORRAL_SCALEBENCH_BLESS=1` and
 //! paste the printed constants.
 
+use crate::golden::splitmix64;
 use crate::table;
 use corral_model::{Bytes, ClusterConfig, MachineId};
 use corral_simnet::{CoflowId, Fabric, FlowKind, FlowSpec, FlowTag, RatePolicy};
@@ -257,14 +258,6 @@ const GOLDEN: [(&str, u64, u64); 12] = [
 /// Timed (full, incremental) pairs per cell in the full bench; the smoke
 /// subset runs one pair.
 const REPEATS: usize = 3;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Empirical per-task shuffle sizes of a paper workload, sorted for
 /// determinism. Built once per workload via the process-wide memoized

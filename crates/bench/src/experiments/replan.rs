@@ -80,7 +80,7 @@ pub fn run_with_replanning(
             generation += 1;
         }
     }
-    engine.finish()
+    engine.run()
 }
 
 /// Prints the comparison.

@@ -68,7 +68,9 @@ pub const CHURN_CELLS: [(&str, RatePolicy, Shape, bool, bool); 6] = [
     ("fair-disturbed", RatePolicy::FairShare, SMALL, true, true),
 ];
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64: advances `state` and returns the next 64-bit draw (the
+/// deterministic generator of the bench workloads and tests).
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

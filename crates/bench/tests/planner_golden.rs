@@ -26,6 +26,7 @@
 mod provision_reference;
 
 use corral_bench::experiments::workload_online;
+use corral_bench::golden::splitmix64;
 use corral_bench::runner::RunConfig;
 use corral_core::planner::perturb_arrivals;
 use corral_core::provision::ProvisionMode;
@@ -204,14 +205,6 @@ struct Problem {
     objective: Objective,
     pins: BTreeMap<JobId, Vec<RackId>>,
     golden_counts: Option<(u64, u64)>,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn unit(rng: &mut u64) -> f64 {

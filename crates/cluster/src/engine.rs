@@ -52,9 +52,9 @@ pub struct ClusterState {
     pub now: SimTime,
     /// All jobs (stable order; indices are policy handles).
     pub jobs: Vec<RtJob>,
-    /// Job indices in FIFO order (arrival, then id).
-    pub fifo_order: Vec<usize>,
-    /// Job indices in priority order (priority, arrival, id).
+    /// Job indices in priority order (priority, arrival, id). Under the
+    /// capacity and ShuffleWatcher policies priorities are FIFO ranks, so
+    /// this is also the FIFO order.
     pub prio_order: Vec<usize>,
     /// Free slots per machine.
     pub free_slots: Vec<u32>,
@@ -150,7 +150,8 @@ impl DirtyMachines {
     }
 }
 
-/// The simulator. Construct with [`Engine::new`], then call [`Engine::run`].
+/// The simulator. Construct with [`Engine::new`] (which admits its jobs
+/// through [`Engine::submit_jobs`]), then call [`Engine::run`].
 pub struct Engine {
     st: ClusterState,
     policy: Box<dyn TaskScheduler>,
@@ -178,10 +179,8 @@ pub struct Engine {
     /// Jobs not finished yet (the run ends when this reaches zero).
     unfinished_jobs: usize,
     job_index: BTreeMap<JobId, usize>,
-    scheduler_label: String,
-    /// The policy kind the engine was built with; late submissions
-    /// ([`Engine::submit_jobs`]) derive constraints/priorities the same
-    /// way construction did.
+    /// The policy kind the engine was built with; [`Engine::submit_jobs`]
+    /// derives constraints and priorities from it.
     kind: SchedulerKind,
     /// Completions since the last [`Engine::drain_finished`] call, in
     /// simulation order — the feed half of the `corral-serve` seam.
@@ -209,76 +208,38 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds a run: validates inputs, ingests job input data into the DFS
-    /// (placement per `params.placement` and `plan`), derives constraints
-    /// and priorities, and schedules arrival / background / failure events.
+    /// Builds a run: an empty cluster (fabric, DFS, policy, free slots)
+    /// that admits `jobs` through [`Engine::submit_jobs`], then schedules
+    /// the failure and background-traffic events.
     pub fn new(params: SimParams, jobs: Vec<JobSpec>, plan: &Plan, kind: SchedulerKind) -> Self {
         params.cluster.validate().expect("invalid cluster config");
-        for j in &jobs {
-            j.validate().expect("invalid job spec");
-        }
         let machines = params.cluster.total_machines();
         let dirty_machines =
             DirtyMachines::new(params.cluster.racks, params.cluster.machines_per_rack);
-        let policy = match params.net {
+        let rate_policy = match params.net {
             NetPolicy::Tcp => RatePolicy::FairShare,
             NetPolicy::Varys => RatePolicy::Varys,
         };
-        let mut fabric = Fabric::new(params.cluster.clone(), policy);
+        let mut fabric = Fabric::new(params.cluster.clone(), rate_policy);
         if let Some(bucket) = params.sample_core_utilization {
             fabric.enable_utilization_sampling(bucket);
         }
         let dfs = Dfs::new(params.cluster.clone());
-        let mut rng = StdRng::seed_from_u64(params.seed);
-
-        let mut rt_jobs: Vec<RtJob> = jobs
-            .iter()
-            .map(|s| RtJob::new(s.clone(), &params.cluster))
-            .collect();
-        let mut job_index = BTreeMap::new();
-        for (i, j) in rt_jobs.iter().enumerate() {
-            let prev = job_index.insert(j.spec.id, i);
-            assert!(prev.is_none(), "duplicate job id {}", j.spec.id);
-        }
-
-        // Constraints + priorities.
-        match kind {
-            SchedulerKind::Planned => {
-                for j in rt_jobs.iter_mut() {
-                    if let Some(entry) = plan.entry(j.spec.id) {
-                        j.constrain_to(entry.racks.clone());
-                        j.priority = entry.priority;
-                    }
-                }
-            }
-            SchedulerKind::Capacity | SchedulerKind::ShuffleWatcher => {
-                // FIFO priorities by (arrival, id).
-                let mut order: Vec<usize> = (0..rt_jobs.len()).collect();
-                order.sort_by(|&a, &b| {
-                    rt_jobs[a]
-                        .spec
-                        .arrival
-                        .total_cmp(rt_jobs[b].spec.arrival)
-                        .then(rt_jobs[a].spec.id.cmp(&rt_jobs[b].spec.id))
-                });
-                for (rank, &i) in order.iter().enumerate() {
-                    rt_jobs[i].priority = rank as u32;
-                }
-            }
-        }
+        let policy = kind.build(params.locality_wait_slots);
+        let rng = StdRng::seed_from_u64(params.seed);
+        let free_slots = vec![params.cluster.slots_per_machine as u32; machines];
 
         let mut engine = Engine {
             st: ClusterState {
                 params,
                 now: SimTime::ZERO,
-                jobs: rt_jobs,
-                fifo_order: Vec::new(),
+                jobs: Vec::new(),
                 prio_order: Vec::new(),
-                free_slots: vec![0; machines],
+                free_slots,
                 dead: vec![false; machines],
                 tracer: Arc::new(NullTracer),
             },
-            policy: kind.build(0),
+            policy,
             fabric,
             dfs,
             queue: EventQueue::new(),
@@ -290,12 +251,11 @@ impl Engine {
             attempt_seq: BTreeMap::new(),
             next_coflow: 0,
             coflows: BTreeMap::new(),
-            rng: StdRng::seed_from_u64(0),
+            rng,
             metrics: BTreeMap::new(),
             dirty_machines,
-            unfinished_jobs: jobs.len(),
-            job_index,
-            scheduler_label: String::new(),
+            unfinished_jobs: 0,
+            job_index: BTreeMap::new(),
             kind,
             finished_log: Vec::new(),
             horizon_hit: false,
@@ -312,67 +272,8 @@ impl Engine {
         // Anchor the busy-slot gauge at t=0 so its time average covers the
         // whole run, including any idle prefix before the first launch.
         engine.slots_busy.set(0.0, 0.0);
-        engine.policy = kind.build(engine.st.params.locality_wait_slots);
-        engine.scheduler_label = match (kind, engine.st.params.placement) {
-            (SchedulerKind::Planned, DataPlacement::PerPlan) => "corral".to_string(),
-            (SchedulerKind::Planned, DataPlacement::HdfsRandom) => "localshuffle".to_string(),
-            _ => engine.policy.name().to_string(),
-        };
-        engine.st.free_slots = vec![engine.st.params.cluster.slots_per_machine as u32; machines];
-        engine.rng = rng.clone();
+        engine.submit_jobs(&jobs, plan);
 
-        // --- Ingest input data (offline, before execution; §3.1 step 2).
-        for ji in 0..engine.st.jobs.len() {
-            engine.ingest_job_inputs(ji, &mut rng);
-        }
-        engine.rng = rng;
-
-        // ShuffleWatcher rack assignment: needs input locality, hence after
-        // ingest.
-        if kind == SchedulerKind::ShuffleWatcher {
-            for ji in 0..engine.st.jobs.len() {
-                let racks = engine.shufflewatcher_racks(ji);
-                engine.st.jobs[ji].constrain_to(racks);
-            }
-        }
-
-        // Sort orders.
-        let jobs = &engine.st.jobs;
-        let mut fifo: Vec<usize> = (0..jobs.len()).collect();
-        fifo.sort_by(|&a, &b| {
-            jobs[a]
-                .spec
-                .arrival
-                .total_cmp(jobs[b].spec.arrival)
-                .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
-        });
-        let mut prio: Vec<usize> = (0..jobs.len()).collect();
-        prio.sort_by(|&a, &b| {
-            jobs[a]
-                .priority
-                .cmp(&jobs[b].priority)
-                .then(jobs[a].spec.arrival.total_cmp(jobs[b].spec.arrival))
-                .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
-        });
-        engine.st.fifo_order = fifo;
-        engine.st.prio_order = prio;
-
-        // --- Events: arrivals, uploads, failures, background changes.
-        for (i, j) in engine.st.jobs.iter().enumerate() {
-            engine.queue.schedule(j.spec.arrival, Event::JobArrival(i));
-        }
-        if let crate::config::IngestMode::Simulated { lead_time } = engine.st.params.ingest {
-            for i in 0..engine.st.jobs.len() {
-                if !engine.st.jobs[i].files.is_empty() {
-                    let at = (engine.st.jobs[i].spec.arrival - lead_time).max(SimTime::ZERO);
-                    engine.queue.schedule(at, Event::IngestStart(i));
-                    // Placeholder so an arrival firing before the upload
-                    // begins still gates on it; start_ingest replaces it
-                    // with the real outstanding-flow count.
-                    engine.st.jobs[i].ingest_remaining = 1;
-                }
-            }
-        }
         for f in engine.st.params.failures.clone() {
             engine.queue.schedule(f.at(), Event::Failure(f));
         }
@@ -384,40 +285,19 @@ impl Engine {
                     .schedule(t, Event::Background(RackId::from_index(r), bw));
             }
         }
-
-        // Metrics skeletons.
-        for j in &engine.st.jobs {
-            engine.metrics.insert(
-                j.spec.id,
-                JobMetrics {
-                    arrival: j.spec.arrival,
-                    slots_requested: j.spec.profile.slots_requested(),
-                    ..Default::default()
-                },
-            );
-        }
         engine
     }
 
     /// Runs the simulation to completion (all jobs done, or the horizon).
     pub fn run(mut self) -> RunReport {
-        self.step_until(SimTime::INFINITY);
+        self.run_until(SimTime::INFINITY);
         self.finalize()
     }
 
-    /// Advances the simulation until `limit` (events strictly after `limit`
-    /// stay queued). Returns `true` while work remains. Used together with
-    /// [`Engine::apply_plan_update`] for the paper's §3.1 periodic
-    /// replanning loop, and with [`Engine::finish`] to collect the report.
-    pub fn run_until(&mut self, limit: SimTime) -> bool {
-        self.step_until(limit)
-    }
-
-    /// Completes the simulation and produces the report (the `&mut`-style
-    /// counterpart of [`Engine::run`] for stepped drivers).
-    pub fn finish(mut self) -> RunReport {
-        self.step_until(SimTime::INFINITY);
-        self.finalize()
+    /// The same as [`Engine::run`]; kept because the benchmark harness in
+    /// `perfbench/` calls it.
+    pub fn finish(self) -> RunReport {
+        self.run()
     }
 
     /// §3.1: "The offline planner will periodically receive updated
@@ -442,17 +322,7 @@ impl Engine {
         if self.trace_on {
             self.emit(TraceEvent::Replanned { jobs_updated });
         }
-        // Priorities changed: rebuild the priority order.
-        let jobs = &self.st.jobs;
-        let mut prio: Vec<usize> = (0..jobs.len()).collect();
-        prio.sort_by(|&a, &b| {
-            jobs[a]
-                .priority
-                .cmp(&jobs[b].priority)
-                .then(jobs[a].spec.arrival.total_cmp(jobs[b].spec.arrival))
-                .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
-        });
-        self.st.prio_order = prio;
+        self.rebuild_prio_order();
         self.mark_all_machines_dirty();
         self.dispatch();
     }
@@ -473,113 +343,120 @@ impl Engine {
         self.st.now
     }
 
-    /// Submits `specs` into a *running* simulation — the feed half of the
-    /// `corral-serve` seam. Each job goes through the same pipeline as at
-    /// construction: constraints/priorities from `plan` (for the planned
-    /// policy; fallback policies get FIFO ranks after the existing jobs),
-    /// DFS ingest under the engine's own RNG stream, order rebuilds, and
-    /// an arrival event clamped to `max(now, spec.arrival)` (the engine
-    /// clock never goes backwards — a spec whose arrival is already in
-    /// the past arrives "now").
+    /// Admits `specs` — the only way a job enters the engine, at
+    /// construction and in a running simulation alike (the feed half of
+    /// the `corral-serve` seam). The planned policy takes each job's rack
+    /// set and priority from `plan`; the other policies rank the batch by
+    /// `(arrival, id)` after every existing rank (FIFO) and ShuffleWatcher
+    /// picks its racks once the input is written. Input lands in the DFS
+    /// under the engine's own RNG stream. Every arrival event is scheduled
+    /// before every upload event, at `max(now, spec.arrival)` (the engine
+    /// clock never goes backwards — a spec whose arrival is already in the
+    /// past arrives "now"). Machines are re-offered when the arrival
+    /// fires, not here.
     ///
     /// Determinism: submissions are part of the input sequence, so two
     /// runs that submit the same specs at the same simulation times are
-    /// byte-identical. Panics on duplicate job ids, like `new`.
+    /// byte-identical. Panics on duplicate job ids.
     pub fn submit_jobs(&mut self, specs: &[JobSpec], plan: &Plan) {
         if specs.is_empty() {
             return;
         }
-        let cluster = self.st.params.cluster.clone();
         for s in specs {
             s.validate().expect("invalid job spec");
         }
+        let now = self.st.now;
         let base = self.st.jobs.len();
-        let next_rank = self
-            .st
-            .jobs
-            .iter()
-            .map(|j| j.priority.saturating_add(1))
-            .max()
-            .unwrap_or(0);
+        self.st.jobs.reserve(specs.len());
         for s in specs {
-            let mut j = RtJob::new(s.clone(), &cluster);
-            let i = self.st.jobs.len();
-            let prev = self.job_index.insert(j.spec.id, i);
+            let mut j = RtJob::new(s.clone(), &self.st.params.cluster);
+            let prev = self.job_index.insert(j.spec.id, self.st.jobs.len());
             assert!(prev.is_none(), "duplicate job id {}", j.spec.id);
-            match self.kind {
-                SchedulerKind::Planned => {
-                    if let Some(entry) = plan.entry(j.spec.id) {
-                        j.constrain_to(entry.racks.clone());
-                        j.priority = entry.priority;
-                    }
-                }
-                SchedulerKind::Capacity | SchedulerKind::ShuffleWatcher => {
-                    // FIFO after everything already admitted (specs are
-                    // assumed arrival-ordered within the batch).
-                    j.priority = next_rank + (i - base) as u32;
+            if self.kind == SchedulerKind::Planned {
+                if let Some(entry) = plan.entry(j.spec.id) {
+                    j.constrain_to(entry.racks.clone());
+                    j.priority = entry.priority;
                 }
             }
             self.metrics.insert(
                 j.spec.id,
                 JobMetrics {
-                    arrival: j.spec.arrival.max(self.st.now),
+                    arrival: j.spec.arrival.max(now),
                     slots_requested: j.spec.profile.slots_requested(),
                     ..Default::default()
                 },
             );
             self.st.jobs.push(j);
-            self.unfinished_jobs += 1;
+        }
+        let end = self.st.jobs.len();
+        self.unfinished_jobs += end - base;
+        if self.kind != SchedulerKind::Planned {
+            let next_rank = self.st.jobs[..base]
+                .iter()
+                .map(|j| j.priority.saturating_add(1))
+                .max()
+                .unwrap_or(0);
+            let jobs = &self.st.jobs;
+            let mut batch: Vec<usize> = (base..end).collect();
+            batch.sort_by(|&a, &b| {
+                jobs[a]
+                    .spec
+                    .arrival
+                    .total_cmp(jobs[b].spec.arrival)
+                    .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
+            });
+            for (rank, i) in batch.into_iter().enumerate() {
+                self.st.jobs[i].priority = next_rank + rank as u32;
+            }
         }
 
-        // Ingest under the engine RNG (same swap pattern as construction:
-        // placement draws come from one stream however jobs arrive).
+        // Ingest under the engine RNG: placement draws come from one
+        // stream however jobs arrive.
         let mut rng = std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0));
-        for ji in base..self.st.jobs.len() {
+        for ji in base..end {
             self.ingest_job_inputs(ji, &mut rng);
         }
         self.rng = rng;
+        // ShuffleWatcher's racks follow input locality, hence after ingest.
         if self.kind == SchedulerKind::ShuffleWatcher {
-            for ji in base..self.st.jobs.len() {
+            for ji in base..end {
                 let racks = self.shufflewatcher_racks(ji);
                 self.st.jobs[ji].constrain_to(racks);
             }
         }
+        self.rebuild_prio_order();
 
-        // Rebuild both orders over the grown job set.
+        for i in base..end {
+            let arrival = self.st.jobs[i].spec.arrival.max(now);
+            self.queue.schedule(arrival, Event::JobArrival(i));
+        }
+        if let crate::config::IngestMode::Simulated { lead_time } = self.st.params.ingest {
+            for i in base..end {
+                if !self.st.jobs[i].files.is_empty() {
+                    let at = (self.st.jobs[i].spec.arrival - lead_time).max(now);
+                    self.queue.schedule(at, Event::IngestStart(i));
+                    // Placeholder so an arrival firing before the upload
+                    // begins still gates on it; start_ingest replaces it
+                    // with the real outstanding-flow count.
+                    self.st.jobs[i].ingest_remaining = 1;
+                }
+            }
+        }
+    }
+
+    /// Sorts every job index by `(priority, arrival, id)`: the one order
+    /// the policies walk.
+    fn rebuild_prio_order(&mut self) {
         let jobs = &self.st.jobs;
-        let mut fifo: Vec<usize> = (0..jobs.len()).collect();
-        fifo.sort_by(|&a, &b| {
-            jobs[a]
-                .spec
-                .arrival
-                .total_cmp(jobs[b].spec.arrival)
-                .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
-        });
-        let mut prio: Vec<usize> = (0..jobs.len()).collect();
-        prio.sort_by(|&a, &b| {
+        self.st.prio_order.clear();
+        self.st.prio_order.extend(0..jobs.len());
+        self.st.prio_order.sort_by(|&a, &b| {
             jobs[a]
                 .priority
                 .cmp(&jobs[b].priority)
                 .then(jobs[a].spec.arrival.total_cmp(jobs[b].spec.arrival))
                 .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
         });
-        self.st.fifo_order = fifo;
-        self.st.prio_order = prio;
-
-        // Arrival + (simulated) upload events, clamped to now.
-        let now = self.st.now;
-        for i in base..self.st.jobs.len() {
-            let arrival = self.st.jobs[i].spec.arrival.max(now);
-            self.queue.schedule(arrival, Event::JobArrival(i));
-            if let crate::config::IngestMode::Simulated { lead_time } = self.st.params.ingest {
-                if !self.st.jobs[i].files.is_empty() {
-                    let at = (self.st.jobs[i].spec.arrival - lead_time).max(now);
-                    self.queue.schedule(at, Event::IngestStart(i));
-                    self.st.jobs[i].ingest_remaining = 1;
-                }
-            }
-        }
-        self.mark_all_machines_dirty();
     }
 
     /// Moves every completion recorded since the last drain into `out`
@@ -607,7 +484,12 @@ impl Engine {
         self.st.tracer.record(self.st.now.as_secs(), ev);
     }
 
-    fn step_until(&mut self, limit: SimTime) -> bool {
+    /// Advances the simulation until `limit` (events strictly after `limit`
+    /// stay queued). Returns `true` while work remains. Used together with
+    /// [`Engine::apply_plan_update`] for the paper's §3.1 periodic
+    /// replanning loop, and with [`Engine::submit_jobs`] by `corral-serve`;
+    /// [`Engine::run`] collects the report.
+    pub fn run_until(&mut self, limit: SimTime) -> bool {
         loop {
             let tq = self.queue.peek_time();
             let tf = self.fabric.next_completion();
@@ -1480,7 +1362,7 @@ impl Engine {
                 .map(|(id, _)| *id),
         );
         for &s in &siblings {
-            self.kill_task_inner(s, false);
+            self.kill_task(s, false);
         }
         self.scratch.tids = siblings;
 
@@ -1679,7 +1561,7 @@ impl Engine {
             }
         }
         for tid in to_kill {
-            self.kill_task(tid);
+            self.kill_task(tid, true);
         }
 
         // Corral failure fallback.
@@ -1722,14 +1604,10 @@ impl Engine {
     }
 
     /// Kills a task attempt: cancels its flows, frees its slot (if the
-    /// machine survives) and re-queues the task index.
-    fn kill_task(&mut self, tid: TaskId) {
-        self.kill_task_inner(tid, true);
-    }
-
-    /// Kill with control over re-queuing (speculative losers are not
-    /// re-queued — their index already completed).
-    fn kill_task_inner(&mut self, tid: TaskId, requeue: bool) {
+    /// machine survives) and, with `requeue`, re-queues the task index
+    /// (speculative losers are not re-queued — their index already
+    /// completed).
+    fn kill_task(&mut self, tid: TaskId, requeue: bool) {
         let Some(task) = self.tasks.remove(&tid) else {
             return;
         };
@@ -1808,11 +1686,17 @@ impl Engine {
         };
 
         // End-of-run summary from the run telemetry and fabric stats.
+        let label = match (self.kind, self.st.params.placement) {
+            (SchedulerKind::Capacity, _) => "yarn-cs",
+            (SchedulerKind::Planned, DataPlacement::PerPlan) => "corral",
+            (SchedulerKind::Planned, DataPlacement::HdfsRandom) => "localshuffle",
+            (SchedulerKind::ShuffleWatcher, _) => "shufflewatcher",
+        };
         let end_t = makespan.as_secs();
         let total_slots = self.st.params.cluster.total_slots() as f64;
         let busy_avg = self.slots_busy.time_avg(end_t).unwrap_or(0.0);
         let summary = RunSummary {
-            scheduler: self.scheduler_label.clone(),
+            scheduler: label.to_string(),
             makespan_s: end_t,
             jobs: self.st.jobs.len(),
             jobs_finished: self.st.jobs.len() - unfinished,
@@ -1846,7 +1730,7 @@ impl Engine {
         self.st.tracer.flush();
 
         RunReport {
-            scheduler: self.scheduler_label.clone(),
+            scheduler: label.to_string(),
             net: self.fabric.allocator_name().to_string(),
             makespan,
             jobs: std::mem::take(&mut self.metrics),
@@ -1861,18 +1745,6 @@ impl Engine {
             task_log: std::mem::take(&mut self.task_log),
             summary,
         }
-    }
-
-    // Test/diagnostic accessors -----------------------------------------
-
-    /// Immutable state view (tests and harnesses).
-    pub fn state(&self) -> &ClusterState {
-        &self.st
-    }
-
-    /// The DFS namespace (tests and harnesses).
-    pub fn dfs(&self) -> &Dfs {
-        &self.dfs
     }
 }
 

@@ -19,15 +19,18 @@
 //!     delay scheduling for source-stage locality (the paper's baseline,
 //!     "Yarn-CS");
 //!   - [`scheduler::PlannedScheduler`] — Corral's cluster scheduler (§3.1):
-//!     tasks confined to the planned rack set `Rj`, priority order from the
-//!     offline plan, work-conserving across jobs sharing racks, and the §7
-//!     failure fallback;
-//!   - [`scheduler::ShuffleWatcherScheduler`] — the ShuffleWatcher baseline:
-//!     per-job greedy rack subsets with no inter-job coordination and no
-//!     data placement.
-//!     The *LocalShuffle* baseline of §6.1 is [`scheduler::PlannedScheduler`]
-//!     combined with stock-HDFS data placement
-//!     ([`config::DataPlacement::HdfsRandom`]).
+//!     tasks confined to each job's rack set `Rj`, slots to the
+//!     highest-priority job allowed on the rack, work-conserving across
+//!     jobs sharing racks, and the §7 failure fallback.
+//!
+//!   The §6.1 systems differ only in where each job's guideline (rack set
+//!   plus priority) comes from, which [`Engine::submit_jobs`] derives from
+//!   the [`SchedulerKind`]: *Corral* takes it from the offline plan with
+//!   plan-aware data placement ([`config::DataPlacement::PerPlan`]);
+//!   *LocalShuffle* takes the plan with stock-HDFS placement
+//!   ([`config::DataPlacement::HdfsRandom`]); *ShuffleWatcher* picks a
+//!   greedy rack subset per job with FIFO priorities, and no placement.
+//!   All three run [`scheduler::PlannedScheduler`].
 //!
 //! The engine co-simulates with the network fabric: between cluster events
 //! the fabric evolves linearly, and whichever of (next cluster event, next

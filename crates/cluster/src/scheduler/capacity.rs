@@ -34,13 +34,10 @@ impl CapacityScheduler {
 }
 
 impl TaskScheduler for CapacityScheduler {
-    fn name(&self) -> &'static str {
-        "yarn-cs"
-    }
-
     fn pick(&mut self, machine: MachineId, st: &ClusterState) -> Option<Pick> {
         let rack = st.params.cluster.rack_of(machine);
-        for &ji in &st.fifo_order {
+        // Capacity priorities are FIFO ranks: this is arrival order.
+        for &ji in &st.prio_order {
             let job = &st.jobs[ji];
             if !job.is_active() {
                 continue;

@@ -15,7 +15,7 @@ use corral_model::{MachineId, StageId};
 use serde::{Deserialize, Serialize};
 
 pub use capacity::CapacityScheduler;
-pub use planned::{PlannedScheduler, ShuffleWatcherScheduler};
+pub use planned::PlannedScheduler;
 
 /// A policy's choice for one free slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,9 +30,6 @@ pub struct Pick {
 
 /// A runtime task-scheduling policy.
 pub trait TaskScheduler: Send {
-    /// Policy label for reports.
-    fn name(&self) -> &'static str;
-
     /// Chooses a pending task for a free slot on `machine`, or `None` if
     /// the policy declines to use this slot right now.
     fn pick(&mut self, machine: MachineId, st: &ClusterState) -> Option<Pick>;
@@ -67,7 +64,8 @@ pub enum SchedulerKind {
     /// it is the *LocalShuffle* baseline.
     Planned,
     /// ShuffleWatcher: per-job greedy rack subsets, no planning, no data
-    /// placement.
+    /// placement. The engine picks the racks at submission and ranks jobs
+    /// FIFO; the slot policy is [`PlannedScheduler`]'s.
     ShuffleWatcher,
 }
 
@@ -76,17 +74,7 @@ impl SchedulerKind {
     pub fn build(self, locality_wait_slots: u32) -> Box<dyn TaskScheduler> {
         match self {
             SchedulerKind::Capacity => Box::new(CapacityScheduler::new(locality_wait_slots)),
-            SchedulerKind::Planned => Box::new(PlannedScheduler::new("corral")),
-            SchedulerKind::ShuffleWatcher => Box::new(ShuffleWatcherScheduler::new()),
-        }
-    }
-
-    /// Stable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::Capacity => "yarn-cs",
-            SchedulerKind::Planned => "corral",
-            SchedulerKind::ShuffleWatcher => "shufflewatcher",
+            SchedulerKind::Planned | SchedulerKind::ShuffleWatcher => Box::new(PlannedScheduler),
         }
     }
 }

@@ -44,7 +44,6 @@ fn state(jobs: Vec<RtJob>) -> ClusterState {
         params,
         now: SimTime::ZERO,
         jobs,
-        fifo_order: (0..n).collect(),
         prio_order: (0..n).collect(),
         free_slots: vec![2; machines],
         dead: vec![false; machines],
@@ -119,7 +118,7 @@ fn planned_respects_rack_constraints_and_priorities() {
     b.constrain_to(vec![RackId(0), RackId(1)]);
     b.priority = 0;
     let st = state(vec![a, b]);
-    let mut pol = PlannedScheduler::new("corral");
+    let mut pol = PlannedScheduler;
 
     // Machine 0 (rack 0): both jobs allowed; priority 0 (job b) wins.
     let p = pol.pick(MachineId(0), &st).unwrap();
@@ -137,7 +136,7 @@ fn planned_fallback_lifts_constraints() {
     a.constrain_to(vec![RackId(0)]);
     a.fallback = true;
     let st = state(vec![a]);
-    let mut pol = PlannedScheduler::new("corral");
+    let mut pol = PlannedScheduler;
     assert!(
         pol.pick(MachineId(8), &st).is_some(),
         "fallback opens rack 2"
@@ -151,7 +150,7 @@ fn planned_ignores_unarrived_and_finished_jobs() {
     let mut b = job(1, 2, 1);
     b.finished_at = Some(SimTime(1.0));
     let st = state(vec![a, b]);
-    let mut pol = PlannedScheduler::new("corral");
+    let mut pol = PlannedScheduler;
     assert!(pol.pick(MachineId(0), &st).is_none());
 }
 
@@ -162,7 +161,7 @@ fn planned_prefers_rack_local_input() {
     // Task 1's replica is on rack 1 (machine 5); tasks 0/2 on rack 0.
     j.stages[0].preferred = vec![vec![MachineId(0)], vec![MachineId(5)], vec![MachineId(1)]];
     let st = state(vec![j]);
-    let mut pol = PlannedScheduler::new("corral");
+    let mut pol = PlannedScheduler;
     // Machine 6 (rack 1): rack-local choice is task 1.
     let p = pol.pick(MachineId(6), &st).unwrap();
     assert_eq!(st.jobs[0].stages[0].pending[p.pending_pos], 1);

@@ -64,7 +64,7 @@ fn run_until_stops_at_the_limit_and_resumes() {
     let unstarted = engine.unstarted_jobs();
     assert_eq!(unstarted, vec![(JobId(1), SimTime(120.0))]);
 
-    let report = engine.finish();
+    let report = engine.run();
     assert_eq!(report.unfinished, 0);
     assert!(report.jobs[&JobId(1)].started.unwrap() >= SimTime(120.0));
 }
@@ -82,7 +82,7 @@ fn plan_update_moves_an_unstarted_job() {
     fresh.entries.extend([entry(1, 2, 0)]);
     engine.apply_plan_update(&fresh);
 
-    let report = engine.finish();
+    let report = engine.run();
     assert_eq!(report.unfinished, 0);
     let cfg = ClusterConfig::tiny_test();
     // Every attempt of job 1 ran on rack 2.
@@ -103,7 +103,7 @@ fn plan_update_never_touches_started_jobs() {
     fresh.entries.extend([entry(0, 2, 0)]); // try to move it
     engine.apply_plan_update(&fresh);
 
-    let report = engine.finish();
+    let report = engine.run();
     let cfg = ClusterConfig::tiny_test();
     for t in &report.task_log {
         assert_eq!(
@@ -141,7 +141,7 @@ fn seam_run(seed: u64) -> (Vec<(JobId, SimTime)>, corral_cluster::metrics::RunRe
         t += 50.0;
     }
     engine.drain_finished(&mut done);
-    (done, engine.finish())
+    (done, engine.run())
 }
 
 #[test]
@@ -193,7 +193,61 @@ fn drain_is_incremental_and_non_lossy() {
         }
         t += 25.0;
     }
-    let report = engine.finish();
+    let report = engine.run();
     assert_eq!(report.unfinished, 0);
     assert_eq!(seen.len(), 2, "each completion delivered exactly once");
+}
+
+// ---------------------------------------------------------------------
+// One admission path: `Engine::new` is `submit_jobs` on an empty engine.
+// ---------------------------------------------------------------------
+
+/// A job wider than the cluster (40 maps of 10 s each against 24 slots),
+/// so jobs that overlap in time queue behind each other's maps.
+fn wide_job(id: u32, arrival_s: f64) -> JobSpec {
+    JobSpec::map_reduce(
+        JobId(id),
+        format!("w{id}"),
+        MapReduceProfile {
+            input: Bytes::gb(4.0),
+            shuffle: Bytes::gb(2.0),
+            output: Bytes::mb(100.0),
+            maps: 40,
+            reduces: 12,
+            map_rate: Bandwidth::mbytes_per_sec(10.0),
+            reduce_rate: Bandwidth::mbytes_per_sec(20.0),
+        },
+    )
+    .arriving_at(SimTime(arrival_s))
+}
+
+/// Submitting a batch given out of arrival order to an empty engine ranks
+/// it FIFO by `(arrival, id)`, exactly as construction does, so the two
+/// runs are the same run.
+#[test]
+fn submitted_batch_ranks_fifo_like_construction() {
+    let batch = vec![wide_job(0, 2.0), wide_job(1, 0.0), wide_job(2, 1.0)];
+    let p = SimParams {
+        placement: DataPlacement::HdfsRandom,
+        ..params()
+    };
+    for kind in [SchedulerKind::Capacity, SchedulerKind::ShuffleWatcher] {
+        let built = Engine::new(p.clone(), batch.clone(), &Plan::default(), kind).run();
+        let mut engine = Engine::new(p.clone(), Vec::new(), &Plan::default(), kind);
+        engine.submit_jobs(&batch, &Plan::default());
+        let submitted = engine.run();
+
+        assert_eq!(built.unfinished, 0, "{kind:?}");
+        assert_eq!(
+            format!("{:?}", built.task_log),
+            format!("{:?}", submitted.task_log),
+            "{kind:?}: task logs differ"
+        );
+        for id in [0, 1, 2] {
+            let (a, b) = (&built.jobs[&JobId(id)], &submitted.jobs[&JobId(id)]);
+            assert_eq!(a.arrival, b.arrival, "{kind:?}: job {id} arrival");
+            assert_eq!(a.finished, b.finished, "{kind:?}: job {id} finish");
+        }
+        assert_eq!(built.summary.to_string(), submitted.summary.to_string());
+    }
 }

@@ -109,7 +109,7 @@ impl EngineDriver {
             }
             self.absorb_decisions(out);
         }
-        (self.sched.stats(), self.engine.finish())
+        (self.sched.stats(), self.engine.run())
     }
 
     /// Advances the engine to `t` and feeds every completion it produced
